@@ -1,12 +1,21 @@
 """Canonical forms and isomorphism for triangulated 2-spheres.
 
-The form of a sphere is computed by relabeling it breadth-first from every
-directed edge in both rotational directions (4E starts), encoding each
-relabeled face set, and keeping the lexicographic minimum.  Scanning both
-directions makes the form independent of the arbitrary orientation chosen
-when the rotation maps were built, so mirror images share a form.  The
-minimal code is itself a relabeled copy of the sphere, which makes the
-form a complete isomorphism invariant, not just a hash.
+A start (directed edge u->v, one of the two rotational directions)
+relabels the sphere breadth-first: u gets 0, v gets 1, and each dequeued
+vertex labels its unlabeled neighbors in rotation order, after the one
+that discovered it.  The form is the least sorted relabeled face list
+over all starts.  Scanning both directions makes mirror images share a
+form, and the minimal code is itself a relabeled copy of the sphere, so
+the form is a complete isomorphism invariant, not just a hash.
+
+Two rules skip work without changing that minimum.  Every code begins
+(0,1,2), (0,1,deg u), so only roots u of minimum degree can win.  And
+once the vertex labeled i is dequeued its faces whose other labels both
+exceed i are known: they are exactly the code entries that begin with i,
+and follow all entries beginning with a smaller label.  The code is thus
+emitted in sorted order, chunk by chunk, and compared with the best code
+so far as it grows: the first larger entry drops the start, and after
+the first smaller one the start is finished as the new best.
 """
 
 from __future__ import annotations
@@ -16,17 +25,12 @@ import hashlib
 from .errors import FormatError
 from .sphere import SimplicialSphere, from_faces
 
-# Labels are packed three to an int while they fit 10 bits; packing keeps
-# the hot comparison loop on machine ints.
-_PACK_LIMIT = 1 << 10
 
+def _start_code(n: int, rot, u: int, v: int, s: int, best):
+    """The code of the start ``u->v`` in ``rot`` if it beats ``best``, else None.
 
-def _bfs_labels(n: int, rot, u: int, v: int) -> list[int]:
-    """Deterministic relabeling: old label -> new label, rooted at edge u->v.
-
-    Vertices are processed in new-label order; each vertex's unlabeled
-    neighbors receive labels in rotation order starting after the neighbor
-    that discovered it (after ``v`` for the root).
+    A face x < y < z is packed as ``(x << 2s) | (y << s) | z``, an int that
+    orders like the triple.
     """
     label = [-1] * n
     label[u] = 0
@@ -35,58 +39,54 @@ def _bfs_labels(n: int, rot, u: int, v: int) -> list[int]:
     ref = [-1] * n
     ref[u] = v
     ref[v] = u
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
+    code = []
+    pos = -1 if best is None else 0  # -1: already below best, stop comparing
+    for i in range(n):
+        x = order[i]
         rx = rot[x]
         t = ref[x]
-        for _ in range(len(rx) - 1):
-            t = rx[t]
-            if label[t] < 0:
-                label[t] = len(order)
-                ref[t] = x
-                order.append(t)
-    return label
+        lt = label[t]
+        hi = i << (2 * s)
+        chunk = []
+        for _ in range(len(rx)):
+            w = rx[t]
+            lw = label[w]
+            if lw < 0:
+                lw = label[w] = len(order)
+                ref[w] = x
+                order.append(w)
+            if lt > i and lw > i:
+                chunk.append(hi | (lt << s) | lw if lt < lw else hi | (lw << s) | lt)
+            t, lt = w, lw
+        chunk.sort()
+        if pos >= 0:
+            seg = best[pos : pos + len(chunk)]
+            if chunk == seg:
+                pos += len(chunk)
+            elif chunk > seg:
+                return None
+            else:
+                pos = -1
+        code += chunk
+    return code if pos < 0 else None
 
 
-def _face_code(faces, label, packed: bool):
-    if packed:
-        code = []
-        for a, b, c in faces:
-            x, y, z = label[a], label[b], label[c]
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-            if x > y:
-                x, y = y, x
-            code.append((x << 20) | (y << 10) | z)
-    else:
-        code = [tuple(sorted((label[a], label[b], label[c]))) for a, b, c in faces]
-    code.sort()
-    return code
-
-
-def _min_code(K: SimplicialSphere, rotations):
+def _min_code(K: SimplicialSphere) -> list[tuple[int, int, int]]:
+    """The least code over all starts that can win, as sorted face triples."""
     n = K.n
-    packed = n < _PACK_LIMIT
-    faces = K.faces
+    s = max(1, (n - 1).bit_length())
+    succ, pred = K._succ, K._pred
+    d = min(map(len, succ))
     best = None
-    for a, b in K.edges:
-        for u, v in ((a, b), (b, a)):
-            for rot in rotations:
-                code = _face_code(faces, _bfs_labels(n, rot, u, v), packed)
-                if best is None or code < best:
-                    best = code
-    return best, packed
-
-
-def _code_faces(code, packed: bool):
-    if packed:
-        mask = _PACK_LIMIT - 1
-        return [(e >> 20, (e >> 10) & mask, e & mask) for e in code]
-    return list(code)
+    for u in range(n):
+        if len(succ[u]) == d:
+            for v in succ[u]:
+                for rot in (succ, pred):
+                    code = _start_code(n, rot, u, v, s, best)
+                    if code is not None:
+                        best = code
+    mask = (1 << s) - 1
+    return [(e >> (2 * s), (e >> s) & mask, e & mask) for e in best]
 
 
 def encode_face_set(n: int, faces) -> bytes:
@@ -119,8 +119,7 @@ def canonical_form(K: SimplicialSphere) -> bytes:
     """
     if K._canon_form is not None:
         return K._canon_form
-    best, packed = _min_code(K, (K._succ, K._pred))
-    form = encode_face_set(K.n, _code_faces(best, packed))
+    form = encode_face_set(K.n, _min_code(K))
     K._canon_form = form
     return form
 

@@ -210,11 +210,11 @@ def _sphere_obj(K: SimplicialSphere) -> dict:
 def _sphere_from_obj(obj, what: str) -> SimplicialSphere:
     if (
         not isinstance(obj, dict)
-        or not isinstance(obj.get("n"), int)
+        or type(obj.get("n")) is not int
         or not isinstance(obj.get("faces"), list)
     ):
         raise FormatError(f"certificate {what} must be an object with n and faces")
-    return from_faces(obj["n"], [tuple(f) for f in obj["faces"]])
+    return from_faces(obj["n"], obj["faces"])
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
@@ -248,9 +248,9 @@ def certificate_from_json(text: str) -> ContractionCertificate:
             not isinstance(s, dict)
             or not isinstance(s.get("edge"), list)
             or len(s["edge"]) != 2
-            or not all(isinstance(x, int) for x in s["edge"])
+            or not all(type(x) is int for x in s["edge"])
             or not isinstance(s.get("relabel"), list)
-            or not all(isinstance(x, int) for x in s["relabel"])
+            or not all(type(x) is int for x in s["relabel"])
         ):
             raise FormatError(f"certificate step {i} is malformed")
         steps.append(CertStep((s["edge"][0], s["edge"][1]), tuple(s["relabel"])))

@@ -207,19 +207,23 @@ def import_json(text: str) -> HasseGraph:
         raise FormatError("not a hasse graph file")
     if obj.get("version") != _GRAPH_VERSION:
         raise FormatError(f"unsupported graph version {obj.get('version')!r}")
-    if not isinstance(obj.get("max_n"), int) or not isinstance(obj.get("nodes"), list):
-        raise FormatError("graph file must carry max_n and a node list")
+    if (
+        type(obj.get("max_n")) is not int
+        or not isinstance(obj.get("nodes"), list)
+        or not isinstance(obj.get("arcs", []), list)
+    ):
+        raise FormatError("graph file must carry max_n, a node list and an arc list")
     nodes = {}
     by_hex = {}
     for entry in obj["nodes"]:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("n"), int)
+            or type(entry.get("n")) is not int
             or not isinstance(entry.get("faces"), list)
             or not isinstance(entry.get("form"), str)
         ):
             raise FormatError("graph node entry is malformed")
-        sphere = from_faces(entry["n"], [tuple(f) for f in entry["faces"]])
+        sphere = from_faces(entry["n"], entry["faces"])
         form = canonical_form(sphere)
         if form != encode_face_set(sphere.n, sphere.faces) or form_hex(form) != entry["form"]:
             raise FormatError(
@@ -233,8 +237,7 @@ def import_json(text: str) -> HasseGraph:
         if (
             not isinstance(arc, list)
             or len(arc) != 2
-            or arc[0] not in by_hex
-            or arc[1] not in by_hex
+            or not all(isinstance(h, str) and h in by_hex for h in arc)
         ):
             raise FormatError("graph arc references an unknown node")
         arcs.add((by_hex[arc[0]], by_hex[arc[1]]))

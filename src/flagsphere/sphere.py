@@ -160,8 +160,11 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     """
     norm: list[Face] = []
     for f in faces:
-        raw = tuple(f)
-        if not all(isinstance(v, int) for v in raw):
+        try:
+            raw = tuple(f)
+        except TypeError:
+            raise NotASphere("bad-index", f"face {f!r} is not a vertex triple") from None
+        if not all(type(v) is int for v in raw):
             raise NotASphere("bad-index", f"face {raw!r} has a non-integer vertex")
         t = tuple(sorted(raw))
         if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
@@ -175,8 +178,13 @@ def from_faces(n: int, faces) -> SimplicialSphere:
             raise NotASphere("duplicate-face", f"face {cur!r} given more than once")
     covered = {v for f in norm for v in f}
     if len(covered) != n:
-        missing = sorted(set(range(n)) - covered)
-        raise NotASphere("bad-index", f"vertices {missing} occur in no face")
+        # Faces are in range, so the first few missing vertices lie below
+        # len(covered) + 5; never materialise range(n), which may be huge.
+        limit = min(n, len(covered) + 5)
+        missing = [v for v in range(limit) if v not in covered][:5]
+        more = n - len(covered) - len(missing)
+        tail = f" and {more} more" if more > 0 else ""
+        raise NotASphere("bad-index", f"vertices {missing}{tail} occur in no face")
 
     face_tuple = tuple(norm)
     edge_faces: dict[tuple[int, int], list[int]] = defaultdict(list)

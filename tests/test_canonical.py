@@ -6,6 +6,55 @@ from hypothesis import strategies as st
 
 import flagsphere as fs
 
+OCTAHEDRON_FORM_HEX = "d0d52e084703f5de0e9ae69e38ca6a1c878aa4d4fb386d44747afc82914b785e"
+
+
+def reference_form(K):
+    """Exhaustive minimiser: every directed edge, both rotations, full codes.
+
+    Shares no code with the pruned search in ``flagsphere.canonical``; the
+    forms must agree byte for byte.
+    """
+    n = K.n
+    rotations = [[K.rotation(x, reverse) for x in range(n)] for reverse in (False, True)]
+    best = None
+    for a, b in K.edges:
+        for u, v in ((a, b), (b, a)):
+            for rot in rotations:
+                label = [-1] * n
+                label[u], label[v] = 0, 1
+                order = [u, v]
+                ref = {u: v, v: u}
+                for x in order:
+                    t = ref[x]
+                    for _ in range(len(rot[x]) - 1):
+                        t = rot[x][t]
+                        if label[t] < 0:
+                            label[t] = len(order)
+                            ref[t] = x
+                            order.append(t)
+                code = sorted(tuple(sorted(label[w] for w in f)) for f in K.faces)
+                if best is None or code < best:
+                    best = code
+    flat = [n, len(best)] + [x for f in best for x in f]
+    return b"".join(x.to_bytes(4, "big") for x in flat)
+
+
+def stacked_sphere(n, seed):
+    """Grow from the tetrahedron by inserting each new vertex into a random face."""
+    rng = random.Random(seed)
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for w in range(4, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, w), (a, c, w), (b, c, w)]
+    return fs.from_faces(n, faces)
+
+
+def shuffled(K, relabel, rng):
+    perm = list(range(K.n))
+    rng.shuffle(perm)
+    return relabel(K, perm)
+
 
 def test_form_is_relabeling_invariant(octa, s7, relabel):
     rng = random.Random(11)
@@ -84,3 +133,36 @@ def test_random_relabelings_share_form(random_sphere, relabel, seed):
     perm = list(range(K.n))
     rng.shuffle(perm)
     assert fs.canonical_form(relabel(K, perm)) == fs.canonical_form(K)
+
+
+def test_octahedron_form_is_pinned(octa):
+    assert fs.form_hex(fs.canonical_form(octa)) == OCTAHEDRON_FORM_HEX
+
+
+def test_forms_match_reference_on_corpus(corpus10):
+    for K in corpus10:
+        assert fs.canonical_form(K) == reference_form(K)
+
+
+def test_forms_match_reference_on_graph11_and_relabelings(graph11, relabel):
+    rng = random.Random(23)
+    for node in graph11.nodes.values():
+        assert reference_form(node.sphere) == node.form
+        image = shuffled(node.sphere, relabel, rng)
+        assert fs.canonical_form(image) == reference_form(image) == node.form
+
+
+@pytest.mark.parametrize("seed,n", [(1, 31), (2, 44), (3, 52), (4, 60)])
+def test_forms_match_reference_on_larger_non_flag_spheres(random_sphere, seed, n):
+    K = random_sphere(seed, n)
+    assert not fs.is_flag(K)
+    assert fs.canonical_form(K) == reference_form(K)
+
+
+def test_form_above_1024_vertices_is_invariant_and_round_trips(relabel):
+    K = stacked_sphere(1100, 2)
+    form = fs.canonical_form(K)
+    assert fs.canonical_form(shuffled(K, relabel, random.Random(2))) == form
+    rep = fs.sphere_from_form(form)
+    assert rep.n == 1100
+    assert fs.canonical_form(fs.from_faces(rep.n, rep.faces)) == form

@@ -30,6 +30,13 @@ def test_validate_rejects(tmp_path, capsys):
     assert err.startswith("ERR NOT_A_SPHERE: edge-degree")
 
 
+def test_validate_huge_vertex_count(tmp_path, capsys):
+    bad = tmp_path / "huge.tri"
+    bad.write_text("100000000\n0 1 2\n", encoding="utf-8")
+    assert run(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("ERR NOT_A_SPHERE: bad-index")
+
+
 def test_validate_missing_file(capsys):
     assert run(["validate", "/no/such/file.tri"]) == 1
     assert capsys.readouterr().err.startswith("ERR IO:")

@@ -192,3 +192,21 @@ def test_certificate_json_rejects_malformed_steps(s7):
     obj["start"] = {"n": 7}
     with pytest.raises(fs.FormatError):
         fs.certificate_from_json(json.dumps(obj))
+
+
+def test_certificate_json_rejects_wrong_types(s7):
+    import json
+
+    text = fs.certificate_to_json(fs.reduce_to_octahedron(s7))
+    obj = json.loads(text)
+    obj["start"]["faces"] = [1, 2]
+    with pytest.raises(fs.NotASphere):
+        fs.certificate_from_json(json.dumps(obj))
+    obj = json.loads(text)
+    obj["steps"][0]["edge"] = [True, 2]
+    with pytest.raises(fs.FormatError):
+        fs.certificate_from_json(json.dumps(obj))
+    obj = json.loads(text)
+    obj["end"]["n"] = True
+    with pytest.raises(fs.FormatError):
+        fs.certificate_from_json(json.dumps(obj))

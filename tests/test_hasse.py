@@ -37,6 +37,11 @@ def test_levels_match_oracle_filter(corpus9):
     assert fs.build(9).level_counts() == want
 
 
+def test_levels_match_a007021(graph11):
+    # OEIS A007021: 4-connected triangulations of the sphere, i.e. flag spheres.
+    assert graph11.level_counts() == {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25}
+
+
 def test_arcs_step_one_level(graph11):
     for src, dst in graph11.arcs:
         assert graph11.nodes[dst].n == graph11.nodes[src].n + 1
@@ -118,6 +123,28 @@ def test_import_rejects_tampering():
         fs.import_json(json.dumps(obj))
     obj = json.loads(text)
     obj["arcs"] = [["00" * 32, obj["nodes"][0]["form"]]]
+    with pytest.raises(fs.FormatError):
+        fs.import_json(json.dumps(obj))
+
+
+def test_import_rejects_wrong_types():
+    import json
+
+    text = fs.export_json(fs.build(7))
+    obj = json.loads(text)
+    obj["nodes"][0]["faces"] = [1, 2]
+    with pytest.raises(fs.NotASphere):
+        fs.import_json(json.dumps(obj))
+    obj = json.loads(text)
+    obj["nodes"][0]["n"] = True
+    with pytest.raises(fs.FormatError):
+        fs.import_json(json.dumps(obj))
+    obj = json.loads(text)
+    obj["arcs"][0][0] = [1]
+    with pytest.raises(fs.FormatError):
+        fs.import_json(json.dumps(obj))
+    obj = json.loads(text)
+    obj["arcs"] = 3
     with pytest.raises(fs.FormatError):
         fs.import_json(json.dumps(obj))
 

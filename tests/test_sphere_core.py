@@ -93,6 +93,19 @@ def test_rejects_bad_indices():
     with pytest.raises(fs.NotASphere) as exc:
         fs.from_faces(4, [("a", 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert exc.value.reason == "bad-index"
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(4, [(0, True, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    assert exc.value.reason == "bad-index"
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(4, [7, (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    assert exc.value.reason == "bad-index"
+
+
+def test_rejects_huge_vertex_count_without_listing_it():
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(100_000_000, [(0, 1, 2)])
+    assert exc.value.reason == "bad-index"
+    assert "[3, 4, 5, 6, 7] and 99999992 more" in str(exc.value)
 
 
 def test_rejects_duplicate_face():
