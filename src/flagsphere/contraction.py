@@ -19,19 +19,11 @@ from .errors import (
     FormatError,
     InternalMinimalityViolation,
     LinkConditionViolated,
-    NotAnEdge,
     NotFlag,
 )
-from .flags import belt_covered_edges, edge_in_belt, is_flag
+from .flags import _belt_side, _norm_edge, belt_covered_edges, edge_in_belt, is_flag
 from .oracle import brute_belts, brute_is_flag, brute_isomorphic
 from .sphere import SimplicialSphere, from_faces, octahedron
-
-
-def _norm_edge(K: SimplicialSphere, e) -> tuple[int, int]:
-    u, v = e
-    if not K.has_edge(u, v):
-        raise NotAnEdge(f"{{{u}, {v}}} is not an edge")
-    return (u, v) if u < v else (v, u)
 
 
 def link_condition(K: SimplicialSphere, e) -> bool:
@@ -80,8 +72,7 @@ def is_flag_contractible(K: SimplicialSphere, e) -> bool:
     """For flag ``K``: does contracting ``e`` keep the sphere flag?"""
     if not is_flag(K):
         raise NotFlag(f"sphere on {K.n} vertices is not flag")
-    u, v = _norm_edge(K, e)
-    return not edge_in_belt(K, (u, v))
+    return not edge_in_belt(K, e)
 
 
 def is_minimal(K: SimplicialSphere) -> bool:
@@ -132,18 +123,19 @@ class CertificateCheck:
 def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     """Greedily contract the first belt-free edge until 6 vertices remain.
 
-    Edges are tried in lexicographic (min, max) order, so the certificate
-    is a pure function of the input labeling.  A flag sphere on more than
-    6 vertices always has a belt-free edge; running out of them is an
-    internal failure, not a caller error.
+    Edges are tried in lexicographic (min, max) order, each by the local
+    belt-side test, and the first one on no belt is contracted, so the
+    certificate is a pure function of the input labeling.  A flag sphere
+    on more than 6 vertices always has a belt-free edge; running out of
+    them is an internal failure, not a caller error.
     """
     if not is_flag(K):
         raise NotFlag(f"sphere on {K.n} vertices is not flag")
     cur = K
     steps = []
     while cur.n > 6:
-        covered = belt_covered_edges(cur)
-        edge = next((e for e in cur.edges if e not in covered), None)
+        adj = cur.adjacency
+        edge = next((e for e in cur.edges if not _belt_side(adj, *e)), None)
         if edge is None:
             raise InternalMinimalityViolation(
                 f"flag sphere on {cur.n} vertices has every edge in a belt"
@@ -233,7 +225,9 @@ def certificate_to_json(cert: ContractionCertificate) -> str:
 def certificate_from_json(text: str) -> ContractionCertificate:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError, arrays nested deeper than the parser's stack.
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _CERT_FORMAT:
         raise FormatError("not a contraction certificate")

@@ -38,14 +38,14 @@ def split_vertex(K: SimplicialSphere, spec: SplitSpec) -> SimplicialSphere:
     moves to the new vertex.  Raises BadSplitSpec unless ``a`` and ``b`` are
     two distinct link vertices of a valid ``w``.
     """
-    if not isinstance(spec.w, int) or not 0 <= spec.w < K.n:
+    if type(spec.w) is not int or not 0 <= spec.w < K.n:
         raise BadSplitSpec(f"no vertex {spec.w!r} to split")
     if spec.a == spec.b:
         raise BadSplitSpec("junction vertices must be distinct")
     cyc = K.link_cycle(spec.w)
     for v in (spec.a, spec.b):
-        if v not in K.neighbors(spec.w):
-            raise BadSplitSpec(f"{v} is not in the link of {spec.w}")
+        if type(v) is not int or v not in K.neighbors(spec.w):
+            raise BadSplitSpec(f"{v!r} is not in the link of {spec.w}")
     i, j = sorted((cyc.index(spec.a), cyc.index(spec.b)))
     first, second = cyc[i], cyc[j]
     arc_keep = cyc[i : j + 1]

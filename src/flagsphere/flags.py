@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotAnEdge
 from .sphere import SimplicialSphere
@@ -33,28 +32,16 @@ class Belt:
         )
 
 
-def normalized_belt(a: int, c: int, b: int, d: int) -> Belt:
-    """Belt with diagonals {a,c} and {b,d}, in normalized cycle order."""
-    first = min(a, b, c, d)
-    if first in (a, c):
-        diag, other = (a, c), (b, d)
-    else:
-        diag, other = (b, d), (a, c)
-    second, last = min(other), max(other)
-    third = diag[0] if diag[1] == first else diag[1]
-    return Belt((first, second, third, last))
-
-
 def missing_triangles(K: SimplicialSphere) -> tuple[tuple[int, int, int], ...]:
     """All 3-cliques of the edge graph that are not faces, sorted.
 
     Together with the minimum degree this certifies flagness of a
     2-sphere; see :func:`is_flag`.
     """
+    adj = K.adjacency
     out = []
     for a, b in K.edges:
-        common = K.neighbors(a) & K.neighbors(b)
-        for c in common:
+        for c in adj[a] & adj[b]:
             if c > b and not K.has_face((a, b, c)):
                 out.append((a, b, c))
     return tuple(sorted(out))
@@ -75,40 +62,62 @@ def is_flag(K: SimplicialSphere) -> bool:
 def belts(K: SimplicialSphere) -> tuple[Belt, ...]:
     """All belts of ``K``, each reported once, sorted by cycle.
 
-    Enumeration is over diagonals: every non-adjacent pair {a,c} with a
-    non-adjacent pair {b,d} of common neighbors spans the belt {a,b,c,d}.
-    Each belt arises from both of its diagonals, so results are deduped
-    by vertex set.
+    Enumeration is over diagonals.  A diagonal {a,c} is a pair at
+    distance two, so for each a only the neighbors of a's neighbors that
+    exceed a and are not adjacent to it are visited as c; every
+    non-adjacent pair {b,d} of common neighbors of a and c then spans the
+    belt {a,b,c,d}.  Each belt has two diagonals and is reported from the
+    one holding its smallest vertex, so only b, d > a are paired, and
+    a-b-c-d with b < d is already its normalized cycle.
     """
-    found: dict[frozenset[int], Belt] = {}
-    for a, c in combinations(range(K.n), 2):
-        if K.has_edge(a, c):
-            continue
-        common = sorted(K.neighbors(a) & K.neighbors(c))
-        for b, d in combinations(common, 2):
-            if K.has_edge(b, d):
-                continue
-            key = frozenset((a, b, c, d))
-            if key not in found:
-                found[key] = normalized_belt(a, c, b, d)
-    return tuple(sorted(found.values(), key=lambda belt: belt.cycle))
+    adj = K.adjacency
+    found = []
+    for a in range(K.n):
+        near = adj[a]
+        far = {c for b in near for c in adj[b] if c > a} - near
+        for c in far:
+            common = sorted(x for x in near & adj[c] if x > a)
+            for i, b in enumerate(common):
+                for d in common[i + 1 :]:
+                    if d not in adj[b]:
+                        found.append(Belt((a, b, c, d)))
+    return tuple(sorted(found, key=lambda belt: belt.cycle))
+
+
+def _belt_side(adj, u: int, v: int) -> bool:
+    """True iff the edge {u,v} is a side of a belt u-v-x-y.
+
+    x is a neighbor of v not adjacent to u (so {u,x} is a diagonal) and y
+    a neighbor of u not adjacent to v (so {v,y} is the other); the belt
+    exists iff some such x and y are adjacent.  Costs O(deg^2).
+    """
+    ys = adj[u] - adj[v] - {v}
+    return any(not ys.isdisjoint(adj[x]) for x in adj[v] - adj[u] - {u})
+
+
+def _norm_edge(K: SimplicialSphere, e) -> tuple[int, int]:
+    """``e`` as a sorted vertex pair; raises NotAnEdge unless it is an edge."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise NotAnEdge(f"{e!r} is not a vertex pair") from None
+    if type(u) is not int or type(v) is not int or not K.has_edge(u, v):
+        raise NotAnEdge(f"{{{u!r}, {v!r}}} is not an edge")
+    return (u, v) if u < v else (v, u)
 
 
 def belt_covered_edges(K: SimplicialSphere) -> frozenset[tuple[int, int]]:
     """Edges of ``K`` that are a side of at least one belt."""
-    covered: set[tuple[int, int]] = set()
-    for belt in belts(K):
-        covered.update(belt.sides)
-    return frozenset(covered)
+    adj = K.adjacency
+    return frozenset(e for e in K.edges if _belt_side(adj, *e))
 
 
 def edge_in_belt(K: SimplicialSphere, e) -> bool:
     """True iff some belt contains both endpoints of edge ``e``.
 
     Both endpoints of an edge can only sit on a belt as one of its sides
-    (diagonals are non-edges), so this equals side membership.
+    (diagonals are non-edges), so this equals side membership, which is
+    tested locally from the two endpoints' neighborhoods without
+    enumerating belts.
     """
-    u, v = sorted(e)
-    if not K.has_edge(u, v):
-        raise NotAnEdge(f"{{{u},{v}}} is not an edge")
-    return (u, v) in belt_covered_edges(K)
+    return _belt_side(K.adjacency, *_norm_edge(K, e))

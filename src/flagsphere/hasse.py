@@ -201,7 +201,7 @@ def import_json(text: str) -> HasseGraph:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _GRAPH_FORMAT:
         raise FormatError("not a hasse graph file")

@@ -83,6 +83,15 @@ class SimplicialSphere:
     def has_face(self, face) -> bool:
         return tuple(sorted(face)) in self._face_set
 
+    @property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbor sets of all vertices, indexed by vertex: ``adjacency[v]``.
+
+        The unchecked bulk form of :meth:`neighbors`, for loops that visit
+        many vertices.
+        """
+        return self._neighbors
+
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
         return self._neighbors[v]
@@ -131,7 +140,7 @@ class SimplicialSphere:
         return dict(sorted(counts.items()))
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        if type(v) is not int or not 0 <= v < self.n:
             raise BadVertex(f"vertex {v!r} not in 0..{self.n - 1}")
 
     # -- value semantics ---------------------------------------------------

@@ -40,6 +40,10 @@ def test_contract_refuses_bad_edges(octa, bipyramid):
         fs.contract(bipyramid, (1, 2))
     with pytest.raises(fs.NotAnEdge):
         fs.contract(octa, (2, 3))
+    with pytest.raises(fs.NotAnEdge):  # compares equal to the edge {1, 2}
+        fs.contract(octa, (True, 2))
+    with pytest.raises(fs.NotAnEdge):
+        fs.contract(octa, 5)
 
 
 def test_contract_counts_and_relabel(flag_corpus10):

@@ -46,6 +46,11 @@ def test_split_spec_validation(octa):
         fs.split_vertex(octa, fs.SplitSpec(0, 1, 1))
     with pytest.raises(fs.BadSplitSpec):
         fs.split_vertex(octa, fs.SplitSpec(0, 1, 5))  # 5 not a neighbor of 0
+    # booleans compare equal to 0 and 1 but are not vertices
+    with pytest.raises(fs.BadSplitSpec):
+        fs.split_vertex(octa, fs.SplitSpec(0, True, 4))
+    with pytest.raises(fs.BadSplitSpec):
+        fs.split_vertex(octa, fs.SplitSpec(False, 1, 4))
 
 
 def test_adjacent_split_creates_degree3(octa):

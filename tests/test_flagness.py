@@ -57,6 +57,10 @@ def test_edge_in_belt_rejects_non_edges(octa):
         fs.edge_in_belt(octa, (0, 5))
     with pytest.raises(fs.NotAnEdge):
         fs.edge_in_belt(octa, (0, 0))
+    with pytest.raises(fs.NotAnEdge):
+        fs.edge_in_belt(octa, (True, 2))
+    with pytest.raises(fs.NotAnEdge):
+        fs.edge_in_belt(octa, (0, 1, 2))
 
 
 def test_belts_match_oracle_on_corpus(corpus10):

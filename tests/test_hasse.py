@@ -180,3 +180,9 @@ def test_worker_count_does_not_change_exports():
     assert fs.export_json(seq) == fs.export_json(par)
     assert fs.export_dot(seq) == fs.export_dot(par)
     assert fs.export_levels_tsv(seq) == fs.export_levels_tsv(par)
+
+
+def test_levels_match_a007021_through_13():
+    # OEIS A007021 at n = 12 and 13: 87 and 313 flag spheres
+    want = {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25, 12: 87, 13: 313}
+    assert fs.build(13).level_counts() == want

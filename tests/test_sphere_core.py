@@ -146,6 +146,8 @@ def test_bad_vertex_accessors(octa):
         octa.degree(-1)
     with pytest.raises(fs.BadVertex):
         octa.neighbors(17)
+    with pytest.raises(fs.BadVertex):  # from_faces rejects booleans too
+        octa.neighbors(True)
 
 
 def test_tri_round_trip(octa, s7, tetra):
@@ -207,3 +209,7 @@ def test_random_spheres_validate(random_sphere, seed, target):
     assert K.n - K.n_edges + K.n_faces == 2
     assert 3 * K.n_faces == 2 * K.n_edges
     assert fs.parse_tri(fs.dump_tri(K)) == K
+
+
+def test_adjacency_matches_neighbors(s7):
+    assert s7.adjacency == tuple(s7.neighbors(v) for v in range(s7.n))
