@@ -75,7 +75,8 @@ def _min_code(K: SimplicialSphere) -> list[tuple[int, int, int]]:
     """The least code over all starts that can win, as sorted face triples."""
     n = K.n
     s = max(1, (n - 1).bit_length())
-    succ, pred = K._succ, K._pred
+    succ = [K.rotation(v) for v in range(n)]
+    pred = [K.rotation(v, reverse=True) for v in range(n)]
     d = min(map(len, succ))
     best = None
     for u in range(n):

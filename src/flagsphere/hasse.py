@@ -53,16 +53,13 @@ class HasseGraph:
         return {n: counts[n] for n in sorted(counts)}
 
 
-def _expand_forms(K: SimplicialSphere) -> list[bytes]:
-    return [canonical_form(child) for _, child in flag_expansions(K)]
-
-
 def build(max_n: int, jobs: int = 1) -> HasseGraph:
     """All flag-sphere classes with 6 <= n <= max_n and their contraction arcs.
 
     Breadth-first from the octahedron; every node's sphere is the
     canonical representative, so downstream exports are label-stable.
-    Worker count never changes the result.
+    ``jobs`` is accepted for compatibility and has no effect: the work is
+    pure Python, which threads cannot run in parallel.
     """
     if max_n < 6:
         raise BudgetTooSmall(f"need max_n >= 6, got {max_n}")
@@ -72,17 +69,10 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
     arcs = set()
     frontier = [f0]
     for n in range(6, max_n):
-        reps = [nodes[f].sphere for f in frontier]
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                batches = list(pool.map(_expand_forms, reps))
-        else:
-            batches = [_expand_forms(K) for K in reps]
         nxt = []
-        for parent, child_forms in zip(frontier, batches):
-            for cf in child_forms:
+        for parent in frontier:
+            for _, child in flag_expansions(nodes[parent].sphere):
+                cf = canonical_form(child)
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1, sphere_from_form(cf))
                     nxt.append(cf)

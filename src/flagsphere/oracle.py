@@ -94,7 +94,7 @@ def brute_isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
         return False
     classes = sorted(deg_a)
     faces_a = A.faces
-    target = B._face_set
+    target = set(B.faces)
 
     def assign(idx: int, mapping: list[int]) -> bool:
         if idx == len(classes):
@@ -131,7 +131,8 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
     splits; every triangulated 2-sphere on n >= 5 vertices has an edge
     whose contraction is again a sphere, so the reversed splits reach
     every class.  Levels through n=8 deduplicate by pairwise bijection
-    search, larger levels by canonical form.
+    search, larger levels by canonical form.  ``jobs`` is accepted for
+    compatibility and has no effect.
     """
     if max_n < 4:
         raise BudgetTooSmall(f"need max_n >= 4, got {max_n}")
@@ -139,17 +140,10 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
         raise BudgetTooLarge(f"enumeration capped at {_ENUMERATION_LIMIT}, got {max_n}")
     levels: list[list[SimplicialSphere]] = [[tetrahedron()]]
     for n in range(5, max_n + 1):
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                batches = list(pool.map(_all_splits, levels[-1]))
-        else:
-            batches = [_all_splits(K) for K in levels[-1]]
         fresh: list[SimplicialSphere] = []
         seen_forms: dict[bytes, None] = {}
-        for batch in batches:
-            for cand in batch:
+        for K in levels[-1]:
+            for cand in _all_splits(K):
                 if n <= _BRUTE_DEDUP_LIMIT:
                     if any(brute_isomorphic(cand, rep) for rep in fresh):
                         continue

@@ -1,16 +1,17 @@
 """Validated triangulations of the 2-sphere and their .tri text format.
 
-A sphere is stored purely combinatorially: a vertex count ``n`` and a set
-of unordered vertex triples (the triangles).  Validation accepts exactly
-the complexes that triangulate S2: every edge in two triangles, every
-vertex link a single cycle, Euler characteristic 2, face-connected.
-Instances are immutable after construction and safe to share between
-threads; every operation in this package treats them as values.
+A sphere is stored purely combinatorially: a vertex count ``n``, its
+triangles as sorted vertex triples, its edges, the neighbor set of each
+vertex and one rotation system, which maps each neighbor of a vertex to
+the next one around it in a single orientation shared by all vertices.
+Validation accepts exactly the complexes that triangulate S2: every edge
+in two triangles, every vertex link a single cycle, Euler characteristic
+2, face-connected.  Instances are immutable after construction and safe
+to share between threads; every operation in this package treats them
+as values.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .errors import BadVertex, FormatError, NotASphere
 
@@ -24,6 +25,10 @@ class SimplicialSphere:
     :func:`from_faces` (or the fixed models :func:`tetrahedron` and
     :func:`octahedron`), which run the full validation.
 
+    An instance stores its faces, its edges, the neighbor set of each
+    vertex and one rotation (see :meth:`rotation`); link cycles and
+    reversed rotations are derived from that rotation on demand.
+
     Equality and hashing compare the exact labeled face set; use
     :func:`flagsphere.canonical.isomorphic` for equality up to relabeling.
     """
@@ -36,27 +41,22 @@ class SimplicialSphere:
         "_edge_set",
         "_neighbors",
         "_succ",
-        "_pred",
         "_link_cache",
         "_canon_form",
     )
 
-    def __init__(self, n: int, faces: tuple[Face, ...], _token: object = None):
+    def __init__(
+        self, n: int, faces: tuple[Face, ...], edges, succ, _token: object = None
+    ):
         if _token is not _INTERNAL:
             raise TypeError("use from_faces() to construct a SimplicialSphere")
         self.n = n
         self.faces = faces
         self._face_set = frozenset(faces)
-        edge_set: set[tuple[int, int]] = set()
-        for a, b, c in faces:
-            edge_set.add((a, b))
-            edge_set.add((a, c))
-            edge_set.add((b, c))
-        self._edges = tuple(sorted(edge_set))
-        self._edge_set = frozenset(edge_set)
-        self._neighbors: tuple[frozenset[int], ...] = ()
-        self._succ: tuple[dict[int, int], ...] = ()
-        self._pred: tuple[dict[int, int], ...] = ()
+        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
+        self._edge_set = frozenset(self._edges)
+        self._neighbors: tuple[frozenset[int], ...] = tuple(map(frozenset, succ))
+        self._succ: tuple[dict[int, int], ...] = tuple(succ)
         self._link_cache: dict[int, tuple[int, ...]] = {}
         self._canon_form: bytes | None = None
 
@@ -112,22 +112,29 @@ class SimplicialSphere:
         cached = self._link_cache.get(v)
         if cached is not None:
             return cached
-        succ, pred = self._succ[v], self._pred[v]
+        succ = self._succ[v]
         start = min(succ)
-        step = succ if succ[start] <= pred[start] else pred
         cycle = [start]
-        cur = start
-        for _ in range(len(succ) - 1):
-            cur = step[cur]
+        cur = succ[start]
+        while cur != start:
             cycle.append(cur)
+            cur = succ[cur]
+        if cycle[1] > cycle[-1]:
+            cycle[1:] = cycle[:0:-1]
         out = tuple(cycle)
         self._link_cache[v] = out
         return out
 
     def rotation(self, v: int, reverse: bool = False) -> dict[int, int]:
-        """Successor map of the (arbitrarily oriented) rotation around ``v``."""
+        """Successor map of the (arbitrarily oriented) rotation around ``v``.
+
+        All vertices share one orientation.  With ``reverse=True`` the map
+        runs the other way round; it is built fresh on each call by
+        inverting the stored successor map.
+        """
         self._check_vertex(v)
-        return (self._pred if reverse else self._succ)[v]
+        succ = self._succ[v]
+        return {w: u for u, w in succ.items()} if reverse else succ
 
     def r_vector(self) -> dict[int, int]:
         """Count vertices by degree: ``{k: number of degree-k vertices}``.
@@ -195,40 +202,41 @@ def from_faces(n: int, faces) -> SimplicialSphere:
         tail = f" and {more} more" if more > 0 else ""
         raise NotASphere("bad-index", f"vertices {missing}{tail} occur in no face")
 
+    # Incidence: the faces at each edge, and the number and one of the
+    # faces at each vertex.
     face_tuple = tuple(norm)
-    edge_faces: dict[tuple[int, int], list[int]] = defaultdict(list)
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    count = [0] * n
+    at = [0] * n
     for i, (a, b, c) in enumerate(face_tuple):
-        edge_faces[a, b].append(i)
-        edge_faces[a, c].append(i)
-        edge_faces[b, c].append(i)
+        edge_faces.setdefault((a, b), []).append(i)
+        edge_faces.setdefault((a, c), []).append(i)
+        edge_faces.setdefault((b, c), []).append(i)
+        count[a] += 1
+        count[b] += 1
+        count[c] += 1
+        at[a] = at[b] = at[c] = i
     for e, fs in edge_faces.items():
         if len(fs) != 2:
             raise NotASphere(
                 "edge-degree", f"edge {set(e)} lies in {len(fs)} faces (expected 2)"
             )
 
-    # Link adjacency: for each vertex, each neighbor's two link-neighbors.
-    link_adj: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for a, b, c in face_tuple:
-        link_adj[a][b].append(c)
-        link_adj[a][c].append(b)
-        link_adj[b][a].append(c)
-        link_adj[b][c].append(a)
-        link_adj[c][a].append(b)
-        link_adj[c][b].append(a)
+    # Links: go round each vertex from face to face across its edges; the
+    # link is a single cycle iff the round meets every face at the vertex.
     for v in range(n):
-        adj = link_adj[v]
-        start = next(iter(adj))
-        prev, cur = None, start
+        first = i = at[v]
+        _, b, c = face_tuple[i]
+        cur = c if c != v else b
         seen = 1
         while True:
-            x, y = adj[cur]
-            nxt = y if x == prev else x
-            if nxt == start:
+            fa, fb = edge_faces[(v, cur) if v < cur else (cur, v)]
+            i = fb if fa == i else fa
+            if i == first:
                 break
-            prev, cur = cur, nxt
+            cur = sum(face_tuple[i]) - v - cur
             seen += 1
-        if seen != len(adj):
+        if seen != count[v]:
             raise NotASphere(
                 "link-not-cycle", f"link of vertex {v} is not a single cycle"
             )
@@ -237,60 +245,31 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     if V - E + F != 2:
         raise NotASphere("euler-fail", f"V-E+F = {V}-{E}+{F} = {V - E + F} != 2")
 
-    # Face-adjacency connectivity.
-    reached = [False] * F
-    stack = [0]
-    reached[0] = True
-    count = 1
+    # Orient face 0 as sorted and every face reached from it against its
+    # neighbor across the shared edge, recording the rotation at each
+    # vertex.  A connected surface with Euler characteristic 2 is a sphere,
+    # hence orientable, so the result is consistent once all faces are met.
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    a, b, c = face_tuple[0]
+    succ[a][b], succ[b][c], succ[c][a] = c, a, b
+    reached = bytearray(F)
+    reached[0] = 1
+    stack = [(0, a, b, c)]
     while stack:
-        i = stack.pop()
-        a, b, c = face_tuple[i]
-        for e in ((a, b), (a, c), (b, c)):
-            fa, fb = edge_faces[e]
+        i, x, y, z = stack.pop()
+        for u, v in ((x, y), (y, z), (z, x)):
+            fa, fb = edge_faces[(u, v) if u < v else (v, u)]
             j = fb if fa == i else fa
             if not reached[j]:
-                reached[j] = True
-                count += 1
-                stack.append(j)
-    if count != F:
-        raise NotASphere("disconnected", f"face graph has {F - count} unreachable faces")
+                reached[j] = 1
+                w = sum(face_tuple[j]) - u - v
+                succ[v][u], succ[u][w], succ[w][v] = w, v, u
+                stack.append((j, v, u, w))
+    unreached = F - sum(reached)
+    if unreached:
+        raise NotASphere("disconnected", f"face graph has {unreached} unreachable faces")
 
-    sphere = SimplicialSphere(n, face_tuple, _token=_INTERNAL)
-    sphere._neighbors = tuple(frozenset(link_adj[v]) for v in range(n))
-    sphere._succ, sphere._pred = _build_rotations(n, face_tuple, edge_faces)
-    return sphere
-
-
-def _build_rotations(n, face_tuple, edge_faces):
-    """Orient all faces consistently and derive per-vertex rotation maps.
-
-    A connected surface with Euler characteristic 2 is a sphere, hence
-    orientable, so the propagation below can never conflict.
-    """
-    oriented: list[Face | None] = [None] * len(face_tuple)
-    oriented[0] = face_tuple[0]
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        x, y, z = oriented[i]
-        for u, v in ((x, y), (y, z), (z, x)):
-            e = (u, v) if u < v else (v, u)
-            fa, fb = edge_faces[e]
-            j = fb if fa == i else fa
-            if oriented[j] is None:
-                (w,) = set(face_tuple[j]) - {u, v}
-                oriented[j] = (v, u, w)
-                stack.append(j)
-    succ: list[dict[int, int]] = [{} for _ in range(n)]
-    pred: list[dict[int, int]] = [{} for _ in range(n)]
-    for x, y, z in oriented:
-        succ[x][y] = z
-        succ[y][z] = x
-        succ[z][x] = y
-        pred[x][z] = y
-        pred[y][x] = z
-        pred[z][y] = x
-    return tuple(succ), tuple(pred)
+    return SimplicialSphere(n, face_tuple, edge_faces, succ, _token=_INTERNAL)
 
 
 def tetrahedron() -> SimplicialSphere:

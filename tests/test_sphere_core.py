@@ -11,6 +11,12 @@ TORUS_FACES = [((i) % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
     ((i) % 7, (i + 2) % 7, (i + 3) % 7) for i in range(7)
 ]
 
+# 6-vertex real projective plane: every link a 5-cycle, Euler char 1
+RP2_FACES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+]
+
 
 def test_tetrahedron_counts(tetra):
     assert (tetra.n, tetra.n_edges, tetra.n_faces) == (4, 6, 4)
@@ -54,6 +60,20 @@ def test_rotation_consistency(octa):
     for i, v in enumerate(cyc):
         nxt = cyc[(i + 1) % len(cyc)]
         assert succ[v] == nxt or pred[v] == nxt
+
+
+def test_rotation_is_one_stored_orientation(corpus9):
+    for K in corpus9:
+        for v in range(K.n):
+            succ = K.rotation(v)
+            pred = K.rotation(v, reverse=True)
+            assert {w: u for u, w in pred.items()} == succ
+            assert len(pred) == len(succ) == K.degree(v)
+            cyc = K.link_cycle(v)
+            walk = [cyc[0]]
+            for _ in range(len(cyc) - 1):
+                walk.append(succ[walk[-1]])
+            assert tuple(walk) in (cyc, cyc[:1] + cyc[:0:-1])
 
 
 def test_counting_identities(corpus9):
@@ -127,6 +147,22 @@ def test_rejects_torus():
     with pytest.raises(fs.NotASphere) as exc:
         fs.from_faces(7, TORUS_FACES)
     assert exc.value.reason == "euler-fail"
+
+
+def test_rejects_projective_plane():
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(6, RP2_FACES)
+    assert exc.value.reason == "euler-fail"
+
+
+def test_rejects_two_projective_planes():
+    # V-E+F = 12-30+20 = 2, so only face connectivity can reject it; the
+    # orientation walk must not fail first on the non-orientable component
+    faces = RP2_FACES + [tuple(v + 6 for v in f) for f in RP2_FACES]
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(12, faces)
+    assert exc.value.reason == "disconnected"
+    assert exc.value.detail == "face graph has 10 unreachable faces"
 
 
 def test_rejects_disjoint_union():
