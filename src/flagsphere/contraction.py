@@ -23,7 +23,7 @@ from .errors import (
 )
 from .flags import _belt_side, _norm_edge, belt_covered_edges, edge_in_belt, is_flag
 from .oracle import brute_belts, brute_is_flag, brute_isomorphic
-from .sphere import SimplicialSphere, from_faces, octahedron
+from .sphere import SimplicialSphere, _contracted, from_faces, octahedron
 
 
 def link_condition(K: SimplicialSphere, e) -> bool:
@@ -55,12 +55,7 @@ def contract_mapped(K: SimplicialSphere, e) -> tuple[SimplicialSphere, tuple[int
             f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
         )
     relabel = tuple(w if w < v else (u if w == v else w - 1) for w in range(K.n))
-    faces = [
-        (relabel[x], relabel[y], relabel[z])
-        for x, y, z in K.faces
-        if not (u in (x, y, z) and v in (x, y, z))
-    ]
-    return from_faces(K.n - 1, faces), relabel
+    return _contracted(K, u, v, relabel), relabel
 
 
 def contract(K: SimplicialSphere, e) -> SimplicialSphere:
@@ -154,8 +149,10 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
 
     Checks the step count, flagness and belt-freeness at every step, the
     recorded relabelings, exact equality of the replayed end, and that the
-    end is the octahedron.  Never raises on bad certificates; the verdict
-    carries the first failure.
+    end is the octahedron.  Each step's sphere is rebuilt from its
+    relabeled face list and fully revalidated, so the replay shares no
+    code with :func:`contract_mapped`.  Never raises on bad certificates;
+    the verdict carries the first failure.
     """
 
     def fail(reason: str) -> CertificateCheck:
@@ -176,7 +173,16 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
         if any({u, v} <= belt.vertices for belt in brute_belts(cur)):
             return fail(f"step {idx}: edge {{{u}, {v}}} lies in a belt")
         try:
-            nxt, relabel = contract_mapped(cur, (u, v))
+            u, v = _norm_edge(cur, (u, v))
+            relabel = tuple(
+                w if w < v else (u if w == v else w - 1) for w in range(cur.n)
+            )
+            faces = [
+                (relabel[x], relabel[y], relabel[z])
+                for x, y, z in cur.faces
+                if not (u in (x, y, z) and v in (x, y, z))
+            ]
+            nxt = from_faces(cur.n - 1, faces)
         except FlagsphereError as exc:
             return fail(f"step {idx}: contraction failed: {exc}")
         if relabel != step.relabel:

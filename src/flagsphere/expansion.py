@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import BadSplitSpec, NotFlag
 from .flags import is_flag
-from .sphere import SimplicialSphere, from_faces
+from .sphere import SimplicialSphere, _split
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,7 @@ def split_vertex(K: SimplicialSphere, spec: SplitSpec) -> SimplicialSphere:
         if type(v) is not int or v not in K.neighbors(spec.w):
             raise BadSplitSpec(f"{v!r} is not in the link of {spec.w}")
     i, j = sorted((cyc.index(spec.a), cyc.index(spec.b)))
-    first, second = cyc[i], cyc[j]
-    arc_keep = cyc[i : j + 1]
-    arc_new = cyc[j:] + cyc[: i + 1]
-    w, w2 = spec.w, K.n
-    faces = [f for f in K.faces if w not in f]
-    faces.extend((w, arc_keep[t], arc_keep[t + 1]) for t in range(len(arc_keep) - 1))
-    faces.extend((w2, arc_new[t], arc_new[t + 1]) for t in range(len(arc_new) - 1))
-    faces.append((w, w2, first))
-    faces.append((w, w2, second))
-    return from_faces(K.n + 1, faces)
+    return _split(K, spec.w, cyc[i], cyc[j])
 
 
 def diagonal_count(k: int) -> int:

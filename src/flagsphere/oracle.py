@@ -2,11 +2,12 @@
 
 Everything here favors the most literal possible reading of each
 definition over speed, so the fast paths elsewhere in the package can be
-validated against it.  The only shared machinery is the core sphere type,
-the raw vertex-split constructor (whose output is revalidated from
-scratch), the Belt value container, and canonical forms where noted for
-deduplication above the size where pairwise bijection search stays cheap;
-belt search, flagness, and isomorphism are reimplemented from their
+validated against it.  The only shared machinery is the core sphere type
+with its fully validating constructor, the Belt value container, and
+canonical forms where noted for deduplication above the size where
+pairwise bijection search stays cheap.  Vertex splits are written out
+here as face lists and every result is revalidated from scratch; belt
+search, flagness, and isomorphism are reimplemented from their
 definitions.
 """
 
@@ -16,9 +17,8 @@ from itertools import combinations, permutations
 
 from .canonical import canonical_form
 from .errors import BudgetTooLarge, BudgetTooSmall, TooLarge
-from .expansion import SplitSpec, split_vertex
 from .flags import Belt
-from .sphere import SimplicialSphere, tetrahedron
+from .sphere import SimplicialSphere, from_faces, tetrahedron
 
 # Pairwise bijection search stays affordable through this vertex count;
 # beyond it enumerate_all_spheres switches to canonical-form dedup.
@@ -114,13 +114,25 @@ def brute_isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
 
 
 def _all_splits(K: SimplicialSphere) -> list[SimplicialSphere]:
-    """Every vertex split of K, adjacent link pairs included."""
+    """Every vertex split of K, adjacent link pairs included.
+
+    Splitting ``w`` at link positions i < j keeps the link arc from i to j
+    on ``w``, gives the arc from j round to i to the new vertex ``K.n``,
+    and adds the two faces of the new edge; the face list is validated
+    from scratch.
+    """
     out = []
     for w in range(K.n):
         cyc = K.link_cycle(w)
+        rest = [f for f in K.faces if w not in f]
         for i in range(len(cyc)):
             for j in range(i + 1, len(cyc)):
-                out.append(split_vertex(K, SplitSpec(w, cyc[i], cyc[j])))
+                kept = cyc[i : j + 1]
+                moved = cyc[j:] + cyc[: i + 1]
+                faces = rest + [(w, cyc[i], K.n), (w, cyc[j], K.n)]
+                faces += [(w, x, y) for x, y in zip(kept, kept[1:])]
+                faces += [(K.n, x, y) for x, y in zip(moved, moved[1:])]
+                out.append(from_faces(K.n + 1, faces))
     return out
 
 

@@ -13,6 +13,9 @@ as values.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from .errors import BadVertex, FormatError, NotASphere
 
 Face = tuple[int, int, int]
@@ -23,7 +26,10 @@ class SimplicialSphere:
 
     Do not call the constructor directly; build instances with
     :func:`from_faces` (or the fixed models :func:`tetrahedron` and
-    :func:`octahedron`), which run the full validation.
+    :func:`octahedron`), which run the full validation.  Edge contraction
+    and vertex splitting build their results from the input's rotation
+    by construction, with no validation: they are spheres whenever the
+    input is (given the link condition, for contraction).
 
     An instance stores its faces, its edges, the neighbor set of each
     vertex and one rotation (see :meth:`rotation`); link cycles and
@@ -125,16 +131,17 @@ class SimplicialSphere:
         self._link_cache[v] = out
         return out
 
-    def rotation(self, v: int, reverse: bool = False) -> dict[int, int]:
+    def rotation(self, v: int, reverse: bool = False) -> Mapping[int, int]:
         """Successor map of the (arbitrarily oriented) rotation around ``v``.
 
-        All vertices share one orientation.  With ``reverse=True`` the map
-        runs the other way round; it is built fresh on each call by
-        inverting the stored successor map.
+        All vertices share one orientation.  The forward map is a read-only
+        view of the stored one.  With ``reverse=True`` the map runs the
+        other way round; it is built fresh on each call by inverting the
+        stored successor map.
         """
         self._check_vertex(v)
         succ = self._succ[v]
-        return {w: u for u, w in succ.items()} if reverse else succ
+        return {w: u for u, w in succ.items()} if reverse else MappingProxyType(succ)
 
     def r_vector(self) -> dict[int, int]:
         """Count vertices by degree: ``{k: number of degree-k vertices}``.
@@ -270,6 +277,91 @@ def from_faces(n: int, faces) -> SimplicialSphere:
         raise NotASphere("disconnected", f"face graph has {unreached} unreachable faces")
 
     return SimplicialSphere(n, face_tuple, edge_faces, succ, _token=_INTERNAL)
+
+
+def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:
+    """Build the sphere whose rotation system is ``succ``, unchecked.
+
+    ``succ`` must be the rotation of a triangulated sphere on ``0..n-1``,
+    consistently oriented: ``succ[x][y] == z`` implies ``succ[y][z] == x``.
+    Each face is read once, at its smallest vertex.  The maps are stored,
+    not copied, so they may be shared with the sphere they came from.
+    """
+    edges = [(x, y) for x, rot in enumerate(succ) for y in rot if y > x]
+    faces = sorted(
+        (x, y, z) if y < z else (x, z, y)
+        for x, rot in enumerate(succ)
+        for y, z in rot.items()
+        if y > x and z > x
+    )
+    return SimplicialSphere(n, tuple(faces), edges, succ, _token=_INTERNAL)
+
+
+def _contracted(K: SimplicialSphere, u: int, v: int, relabel) -> SimplicialSphere:
+    """``K`` with the edge {u, v}, u < v, contracted onto ``u``, unchecked.
+
+    The caller has checked the link condition.  ``relabel`` maps each old
+    label to its new one: ``v`` to ``u``, labels above ``v`` down by one,
+    the rest to themselves.  With the faces u-p-v and u-v-q at the edge,
+    the merged vertex takes u's rotation without v and p plus v's without
+    u and q, and each apex drops v from its own rotation.
+    """
+    old = K._succ
+    p, q = old[v][u], old[u][v]
+    merged = {y: z for y, z in old[u].items() if y != v and y != p}
+    merged.update((y, z) for y, z in old[v].items() if y != u and y != q)
+    rots = list(old)
+    rots[u] = merged
+    for apex, before in ((p, old[v][p]), (q, u)):
+        rot = dict(old[apex])
+        rot[before] = rot.pop(v)
+        rots[apex] = rot
+    del rots[v]
+    # A map whose labels all lie below v keeps them, so it is shared.
+    succ = [
+        rot if max(rot) < v else {relabel[y]: relabel[z] for y, z in rot.items()}
+        for rot in rots
+    ]
+    return _from_rotation(K.n - 1, succ)
+
+
+def _split(K: SimplicialSphere, w: int, a: int, b: int) -> SimplicialSphere:
+    """``K`` with ``w`` split into the edge {w, K.n} at ``a`` and ``b``, unchecked.
+
+    ``a`` and ``b`` are distinct neighbors of ``w``.  The arc of w's link
+    from ``a`` to ``b`` in the direction of :meth:`link_cycle` stays with
+    ``w``; the arc from ``b`` back to ``a`` moves to the new vertex, whose
+    interior vertices rename ``w`` to it, and the new vertex enters the
+    rotations of ``a`` and ``b`` next to ``w``.
+    """
+    n = K.n
+    old = K._succ
+    rot = old[w]
+    cyc = K.link_cycle(w)
+    if rot[cyc[0]] != cyc[1]:
+        a, b = b, a  # the stored rotation runs against the link cycle
+    kept = {b: n, n: a}
+    x = a
+    while x != b:
+        kept[x] = rot[x]
+        x = rot[x]
+    moved = {a: w, w: b}
+    succ = list(old)
+    x = rot[b]
+    while x != a:
+        inner = dict(old[x])
+        inner[n] = inner.pop(w)
+        inner[rot[x]] = n
+        succ[x] = inner
+        moved[x] = rot[x]
+        x = rot[x]
+    moved[b] = rot[b]
+    at_a, at_b = dict(old[a]), dict(old[b])
+    at_a[n], at_a[w] = at_a[w], n
+    at_b[rot[b]], at_b[n] = n, w
+    succ[w], succ[a], succ[b] = kept, at_a, at_b
+    succ.append(moved)
+    return _from_rotation(n + 1, succ)
 
 
 def tetrahedron() -> SimplicialSphere:
