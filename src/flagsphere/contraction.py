@@ -22,7 +22,7 @@ from .errors import (
     NotFlag,
 )
 from .flags import _belt_side, _norm_edge, belt_covered_edges, edge_in_belt, is_flag
-from .oracle import brute_belts, brute_is_flag, brute_isomorphic
+from .oracle import brute_is_flag, brute_isomorphic, clique_is_flag, edge_belts
 from .sphere import SimplicialSphere, _contracted, from_faces, octahedron
 
 
@@ -145,14 +145,19 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
 
 
 def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
-    """Replay a certificate against brute-force predicates only.
+    """Replay a certificate against the oracle's literal predicates only.
 
     Checks the step count, flagness and belt-freeness at every step, the
     recorded relabelings, exact equality of the replayed end, and that the
-    end is the octahedron.  Each step's sphere is rebuilt from its
-    relabeled face list and fully revalidated, so the replay shares no
-    code with :func:`contract_mapped`.  Never raises on bad certificates;
-    the verdict carries the first failure.
+    end is the octahedron.  Flagness is tested by listing the cliques of
+    each step's edge graph (:func:`clique_is_flag`), and belts only on the
+    4-sets through the contracted edge (:func:`edge_belts`); both read the
+    definitions literally and share no code with :mod:`flags`.  Each
+    step's sphere is rebuilt from its relabeled face list and fully
+    revalidated, so the replay shares no code with :func:`contract_mapped`.
+    The 6-vertex end is checked by :func:`brute_is_flag` and
+    :func:`brute_isomorphic`.  Never raises on bad certificates; the
+    verdict carries the first failure.
     """
 
     def fail(reason: str) -> CertificateCheck:
@@ -165,12 +170,12 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
         )
     cur = cert.start
     for idx, step in enumerate(cert.steps):
-        if not brute_is_flag(cur):
+        if not clique_is_flag(cur):
             return fail(f"step {idx}: sphere is not flag")
         u, v = step.edge
-        if not cur.has_edge(u, v):
+        if type(u) is not int or type(v) is not int or not cur.has_edge(u, v):
             return fail(f"step {idx}: {{{u}, {v}}} is not an edge")
-        if any({u, v} <= belt.vertices for belt in brute_belts(cur)):
+        if edge_belts(cur, u, v):
             return fail(f"step {idx}: edge {{{u}, {v}}} lies in a belt")
         try:
             u, v = _norm_edge(cur, (u, v))

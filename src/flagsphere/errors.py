@@ -20,7 +20,7 @@ class NotASphere(FlagsphereError):
 
 
 class BadVertex(FlagsphereError):
-    """Vertex index out of range for the sphere."""
+    """Vertex argument that is not an int in range for the sphere."""
 
 
 class NotAnEdge(FlagsphereError):

@@ -9,6 +9,13 @@ pairwise bijection search stays cheap.  Vertex splits are written out
 here as face lists and every result is revalidated from scratch; belt
 search, flagness, and isomorphism are reimplemented from their
 definitions.
+
+``brute_belts`` and ``brute_is_flag`` scan every vertex 4-set.  The
+certificate verifier calls two local readings of the same definitions
+at every step instead: ``edge_belts`` applies the 4-set belt test only
+to the 4-sets through one edge, and ``clique_is_flag`` lists the cliques
+of the edge graph.  Neither uses the degree or two-apex theorems of the
+fast path, and the brute scans stay as their test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .canonical import canonical_form
-from .errors import BudgetTooLarge, BudgetTooSmall, TooLarge
+from .errors import BudgetTooLarge, BudgetTooSmall, NotAnEdge, TooLarge
 from .flags import Belt
 from .sphere import SimplicialSphere, from_faces, tetrahedron
 
@@ -73,6 +80,60 @@ def brute_is_flag(K: SimplicialSphere) -> bool:
             and not K.has_face(tri)
         ):
             return False
+    return True
+
+
+def edge_belts(K: SimplicialSphere, u: int, v: int) -> set[Belt]:
+    """The belts containing both ends of the edge {u, v}, found locally.
+
+    Applies the literal 4-set test of :func:`brute_belts` (exactly four
+    induced edges, each vertex of degree 2 among them, no face among the
+    four triples) to the 4-sets {u, v, x, y} with x and y drawn from
+    N(u) | N(v) only.  That is every candidate: {u, v} is an edge, so in
+    an induced 4-cycle it is a side, and the other two cycle vertices
+    are each adjacent to u or to v.
+    """
+    if not K.has_edge(u, v):
+        raise NotAnEdge(f"{{{u!r}, {v!r}}} is not an edge")
+    adj = K.adjacency
+    out = set()
+    for x, y in combinations(sorted((adj[u] | adj[v]) - {u, v}), 2):
+        quad = sorted((u, v, x, y))
+        nbr = {p: [q for q in quad if q in adj[p]] for p in quad}
+        # each vertex of degree 2 among the induced edges: exactly four
+        if any(len(ns) != 2 for ns in nbr.values()):
+            continue
+        if any(K.has_face(t) for t in combinations(quad, 3)):
+            continue
+        # quad[0] is the smallest vertex; walk toward its smaller neighbor
+        a = quad[0]
+        b, d = nbr[a]
+        c = nbr[b][1] if nbr[b][0] == a else nbr[b][0]
+        out.add(Belt((a, b, c, d)))
+    return out
+
+
+def clique_is_flag(K: SimplicialSphere) -> bool:
+    """Clique-listing flag test: every clique of the 1-skeleton spans a simplex.
+
+    Lists each 3-clique once as a < b < c from an edge (a, b) and a common
+    neighbor c, and fails if it is not a face or if some d > c is
+    adjacent to all three (a 4-clique, which cannot span a simplex).
+    Every 4-clique a < b < c < d is met this way at its triple (a, b, c).
+    """
+    adj = K.adjacency
+    for a in range(K.n):
+        for b in adj[a]:
+            if b < a:
+                continue
+            common = adj[a] & adj[b]
+            for c in common:
+                if c < b:
+                    continue
+                if not K.has_face((a, b, c)):
+                    return False
+                if any(d > c for d in common & adj[c]):
+                    return False
     return True
 
 

@@ -82,11 +82,27 @@ class SimplicialSphere:
         return len(self.faces)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """True iff {u, v} is an edge; False for any int out of range.
+
+        Raises BadVertex for a vertex that is not an ``int`` (``True`` and
+        ``1.0`` would otherwise match the edges of vertex 1).
+        """
+        if type(u) is not int or type(v) is not int:
+            raise BadVertex(f"vertex {(v if type(u) is int else u)!r} is not an int")
         if u == v:
             return False
         return ((u, v) if u < v else (v, u)) in self._edge_set
 
     def has_face(self, face) -> bool:
+        """True iff ``face`` lists the vertices of a face, in any order.
+
+        Raises BadVertex for a vertex that is not an ``int``, as
+        :meth:`has_edge` does.
+        """
+        face = tuple(face)
+        for v in face:
+            if type(v) is not int:
+                raise BadVertex(f"vertex {v!r} is not an int")
         return tuple(sorted(face)) in self._face_set
 
     @property

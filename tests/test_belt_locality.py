@@ -75,3 +75,12 @@ def test_reduction_matches_oracle_greedy(flag_spheres):
     for K in flag_spheres:
         got = fs.certificate_to_json(fs.reduce_to_octahedron(K))
         assert got == fs.certificate_to_json(reference_reduce(K))
+
+
+def test_verifier_predicates_match_oracle(flag_spheres, non_flag_spheres):
+    for K in flag_spheres + non_flag_spheres:
+        assert fs.clique_is_flag(K) == fs.brute_is_flag(K) == (K in flag_spheres)
+        belts = fs.brute_belts(K)
+        for u, v in K.edges:
+            want = {b for b in belts if {u, v} <= b.vertices}
+            assert fs.edge_belts(K, u, v) == want == fs.edge_belts(K, v, u)

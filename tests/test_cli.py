@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,3 +220,13 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_cli(tri, octa):
+    src = os.path.dirname(os.path.dirname(fs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "flagsphere", "validate", tri(octa)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "V=6 E=12 F=8\n", "")

@@ -184,6 +184,16 @@ def test_bad_vertex_accessors(octa):
         octa.neighbors(17)
     with pytest.raises(fs.BadVertex):  # from_faces rejects booleans too
         octa.neighbors(True)
+    # has_edge and has_face reject non-int vertices that compare equal to ints
+    for u, v in ((True, 2), (1.0, 2), (2, True), ("1", 2), (None, 2)):
+        with pytest.raises(fs.BadVertex):
+            octa.has_edge(u, v)
+    for face in ((True, 2, 0), (0, 1.0, 2), (0, 2, "4"), [0, 1, None]):
+        with pytest.raises(fs.BadVertex):
+            octa.has_face(face)
+    assert octa.has_edge(1, 2) and octa.has_face([2, 0, 1])
+    assert not octa.has_edge(1, 6) and not octa.has_edge(-1, 2)
+    assert not octa.has_face((0, 1, 6))
 
 
 def test_tri_round_trip(octa, s7, tetra):
