@@ -16,6 +16,14 @@ and follow all entries beginning with a smaller label.  The code is thus
 emitted in sorted order, chunk by chunk, and compared with the best code
 so far as it grows: the first larger entry drops the start, and after
 the first smaller one the start is finished as the new best.
+
+A start that ties the best code to the end is not wasted: its labeling
+and the winner's both map the sphere onto the same code, so together they
+give one automorphism of the canonical representative.  Every
+automorphism maps a minimum-degree root to another, so the ties give the
+whole group, mirrors included.  The search records which starts reach
+the code, one bit per start, and the group is built from those starts'
+labelings only when asked for.
 """
 
 from __future__ import annotations
@@ -27,10 +35,12 @@ from .sphere import SimplicialSphere, from_faces
 
 
 def _start_code(n: int, rot, u: int, v: int, s: int, best):
-    """The code of the start ``u->v`` in ``rot`` if it beats ``best``, else None.
+    """``(code, label)`` for the start ``u->v`` in ``rot`` unless it loses to ``best``.
 
-    A face x < y < z is packed as ``(x << 2s) | (y << s) | z``, an int that
-    orders like the triple.
+    Returns None when the code exceeds ``best``; on a tie the returned
+    code is ``best`` itself.  ``label[x]`` is the label the start gives
+    vertex ``x``.  A face x < y < z is packed as
+    ``(x << 2s) | (y << s) | z``, an int that orders like the triple.
     """
     label = [-1] * n
     label[u] = 0
@@ -68,26 +78,40 @@ def _start_code(n: int, rot, u: int, v: int, s: int, best):
             else:
                 pos = -1
         code += chunk
-    return code if pos < 0 else None
+    return (code if pos < 0 else best), label
 
 
-def _min_code(K: SimplicialSphere) -> list[tuple[int, int, int]]:
-    """The least code over all starts that can win, as sorted face triples."""
+def _starts(K: SimplicialSphere) -> list:
+    """The starts that can win, in search order, as ``(rot, u, v)``."""
+    succ = [K.rotation(v) for v in range(K.n)]
+    pred = [K.rotation(v, reverse=True) for v in range(K.n)]
+    d = min(map(len, succ))
+    return [
+        (rot, u, v)
+        for u in range(K.n)
+        if len(succ[u]) == d
+        for v in succ[u]
+        for rot in (succ, pred)
+    ]
+
+
+def _min_code(K: SimplicialSphere) -> tuple[list[tuple[int, int, int]], int]:
+    """The least code over all starts that can win, and which starts reach it.
+
+    Returns the code as sorted face triples and a bit mask over
+    :func:`_starts` in which bit k is set when start k reaches the code.
+    """
     n = K.n
     s = max(1, (n - 1).bit_length())
-    succ = [K.rotation(v) for v in range(n)]
-    pred = [K.rotation(v, reverse=True) for v in range(n)]
-    d = min(map(len, succ))
     best = None
-    for u in range(n):
-        if len(succ[u]) == d:
-            for v in succ[u]:
-                for rot in (succ, pred):
-                    code = _start_code(n, rot, u, v, s, best)
-                    if code is not None:
-                        best = code
+    ties = 0
+    for k, (rot, u, v) in enumerate(_starts(K)):
+        found = _start_code(n, rot, u, v, s, best)
+        if found is not None:
+            ties = ties | 1 << k if found[0] is best else 1 << k
+            best = found[0]
     mask = (1 << s) - 1
-    return [(e >> (2 * s), (e >> s) & mask, e & mask) for e in best]
+    return [(e >> (2 * s), (e >> s) & mask, e & mask) for e in best], ties
 
 
 def encode_face_set(n: int, faces) -> bytes:
@@ -118,11 +142,45 @@ def canonical_form(K: SimplicialSphere) -> bytes:
     (including mirror images); the rendering is stable across runs and
     platforms.
     """
-    if K._canon_form is not None:
-        return K._canon_form
-    form = encode_face_set(K.n, _min_code(K))
-    K._canon_form = form
-    return form
+    if K._canon_form is None:
+        _canonize(K)
+    return K._canon_form
+
+
+def _canonize(K: SimplicialSphere) -> None:
+    """Run the search once; cache the form and the mask of tying starts on ``K``."""
+    code, ties = _min_code(K)
+    K._canon_form = encode_face_set(K.n, code)
+    K._canon_ties = ties
+
+
+def canonical_automorphisms(K: SimplicialSphere) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of ``K``'s canonical representative, identity first.
+
+    Each element ``p`` maps canonical label ``x`` to ``p[x]`` and maps the
+    faces of :func:`canonical_sphere` onto themselves; orientation-reversing
+    ones are included.  For a canonically labeled sphere, such as a Hasse
+    node's, this is the group of ``K`` itself.  It is read off the starts
+    that tie in the search behind :func:`canonical_form`: once the form of
+    this object is known, only those starts are relabeled again, one per
+    element, and no other start is tried.
+    """
+    if K._canon_ties is None:
+        _canonize(K)
+    n = K.n
+    s = max(1, (n - 1).bit_length())
+    best, *ties = [
+        _start_code(n, rot, u, v, s, None)[1]
+        for k, (rot, u, v) in enumerate(_starts(K))
+        if K._canon_ties >> k & 1
+    ]
+    out = [tuple(range(n))]
+    for label in ties:
+        p = [0] * n
+        for x, y in zip(best, label):
+            p[x] = y
+        out.append(tuple(p))
+    return tuple(out)
 
 
 def form_hex(form: bytes) -> str:

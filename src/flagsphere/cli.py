@@ -34,7 +34,7 @@ from .errors import (
     NotFlag,
     TooLarge,
 )
-from .expansion import expansion_bound, flag_expansions
+from .expansion import expansion_bound, flag_splits, split_vertex
 from .flags import belt_covered_edges, belts, is_flag, missing_triangles
 from .hasse import build, export_dot, export_json, export_levels_tsv, verify_degree_bounds
 from .oracle import enumerate_all_spheres
@@ -126,12 +126,12 @@ def _cmd_verify_cert(args) -> int:
 
 def _cmd_expand(args) -> int:
     K = _load_sphere(args.file)
-    expansions = flag_expansions(K)
+    specs = list(flag_splits(K))
     print(f"bound: {expansion_bound(K)}")
-    print(f"expansions: {len(expansions)}")
+    print(f"expansions: {len(specs)}")
     if args.all:
-        for spec, child in expansions:
-            hx = form_hex(canonical_form(child))[:12]
+        for spec in specs:
+            hx = form_hex(canonical_form(split_vertex(K, spec)))[:12]
             print(f"split: {spec.w} {spec.a} {spec.b} form={hx}")
     return 0
 

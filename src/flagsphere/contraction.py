@@ -172,7 +172,10 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
     for idx, step in enumerate(cert.steps):
         if not clique_is_flag(cur):
             return fail(f"step {idx}: sphere is not flag")
-        u, v = step.edge
+        try:
+            u, v = step.edge
+        except (TypeError, ValueError):
+            return fail(f"step {idx}: edge {step.edge!r} is not a vertex pair")
         if type(u) is not int or type(v) is not int or not cur.has_edge(u, v):
             return fail(f"step {idx}: {{{u}, {v}}} is not an edge")
         if edge_belts(cur, u, v):

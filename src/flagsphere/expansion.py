@@ -14,6 +14,7 @@ flag-preserving splits, one per diagonal of its link polygon.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BadSplitSpec, NotFlag
@@ -60,24 +61,27 @@ def expansion_bound(K: SimplicialSphere) -> int:
     return sum(count * diagonal_count(k) for k, count in K.r_vector().items())
 
 
-def flag_expansions(K: SimplicialSphere) -> list[tuple[SplitSpec, SimplicialSphere]]:
-    """All flag-preserving splits of a flag sphere, in deterministic order.
+def flag_splits(K: SimplicialSphere) -> Iterator[SplitSpec]:
+    """The flag-preserving splits of a flag sphere, lazily, in a fixed order.
 
-    Enumerates vertices in label order and, for each, every non-adjacent
-    pair of link-cycle positions (the diagonals of the link polygon).  Each
-    result is flag because the junction pair being non-adjacent neither
-    creates a missing triangle nor a vertex of degree 3.
+    Vertices in label order and, for each, every non-adjacent pair of
+    link-cycle positions i < j (the diagonals of the link polygon).  No
+    child is built.  Raises NotFlag at the call, before the first split.
+    Each split keeps the sphere flag because the junction pair being
+    non-adjacent neither creates a missing triangle nor a vertex of
+    degree 3.
     """
     if not is_flag(K):
         raise NotFlag(f"sphere on {K.n} vertices is not flag")
-    out = []
-    for w in range(K.n):
-        cyc = K.link_cycle(w)
-        d = len(cyc)
-        for i in range(d):
-            for j in range(i + 2, d):
-                if i == 0 and j == d - 1:
-                    continue
-                spec = SplitSpec(w, cyc[i], cyc[j])
-                out.append((spec, split_vertex(K, spec)))
-    return out
+    return (
+        SplitSpec(w, cyc[i], cyc[j])
+        for w in range(K.n)
+        for cyc in (K.link_cycle(w),)
+        for i in range(len(cyc))
+        for j in range(i + 2, len(cyc) - (i == 0))
+    )
+
+
+def flag_expansions(K: SimplicialSphere) -> list[tuple[SplitSpec, SimplicialSphere]]:
+    """Every :func:`flag_splits` spec of a flag sphere with its child, in order."""
+    return [(spec, split_vertex(K, spec)) for spec in flag_splits(K)]

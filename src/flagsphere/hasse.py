@@ -8,6 +8,16 @@ the unique source.  The graph is grown breadth-first from the octahedron
 by flag-preserving vertex splits; completeness follows from every flag
 sphere's contraction path down to the octahedron, reversed.
 
+Splits that an automorphism of the parent maps onto each other give
+isomorphic children, hence the same arc, so each parent is split once per
+orbit of its splits (w, {a, b}) under its group: the first split of an
+orbit in :func:`flag_splits` order is made and the rest are skipped.  The
+group of a new class is read off the same canonical-form search that
+found the class (:func:`canonical_automorphisms`), because the node's
+sphere is the canonical representative.  The first split of each orbit
+is the one that met its class first, so nodes appear in the same order
+and carry the same arcs as with every split made.
+
 Two per-node degree bounds hold and are checked by verify_degree_bounds:
 in-degree is at most the number of belt-free edges (each in-arc consumes a
 flag-contractible edge of the representative) and out-degree is at most
@@ -22,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import (
+    canonical_automorphisms,
     canonical_form,
     canonical_sphere,
     encode_face_set,
@@ -29,7 +40,7 @@ from .canonical import (
     sphere_from_form,
 )
 from .errors import BudgetTooSmall, FormatError
-from .expansion import expansion_bound, flag_expansions
+from .expansion import expansion_bound, flag_splits, split_vertex
 from .flags import belt_covered_edges
 from .sphere import SimplicialSphere, from_faces, octahedron
 
@@ -56,26 +67,41 @@ class HasseGraph:
 def build(max_n: int, jobs: int = 1) -> HasseGraph:
     """All flag-sphere classes with 6 <= n <= max_n and their contraction arcs.
 
-    Breadth-first from the octahedron; every node's sphere is the
+    Breadth-first from the octahedron, splitting each parent once per
+    automorphism orbit of its flag splits; every node's sphere is the
     canonical representative, so downstream exports are label-stable.
     ``jobs`` is accepted for compatibility and has no effect: the work is
     pure Python, which threads cannot run in parallel.
     """
     if max_n < 6:
         raise BudgetTooSmall(f"need max_n >= 6, got {max_n}")
-    start = canonical_sphere(octahedron())
+    octa = octahedron()
+    start = canonical_sphere(octa)
     f0 = canonical_form(start)
     nodes = {f0: HasseNode(f0, 6, start)}
+    groups = {f0: canonical_automorphisms(octa)}  # of the frontier's classes
     arcs = set()
     frontier = [f0]
     for n in range(6, max_n):
         nxt = []
         for parent in frontier:
-            for _, child in flag_expansions(nodes[parent].sphere):
+            K = nodes[parent].sphere
+            group = groups.pop(parent)
+            seen = set()
+            for spec in flag_splits(K):
+                w, a, b = spec.w, spec.a, spec.b
+                if ((w, a, b) if a < b else (w, b, a)) in seen:
+                    continue
+                for p in group:
+                    pa, pb = p[a], p[b]
+                    seen.add((p[w], pa, pb) if pa < pb else (p[w], pb, pa))
+                child = split_vertex(K, spec)
                 cf = canonical_form(child)
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1, sphere_from_form(cf))
                     nxt.append(cf)
+                    if n + 1 < max_n:
+                        groups[cf] = canonical_automorphisms(child)
                 arcs.add((parent, cf))
         frontier = nxt
     return HasseGraph(max_n, nodes, frozenset(arcs))

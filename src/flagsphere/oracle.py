@@ -174,6 +174,37 @@ def brute_isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
     return assign(0, [-1] * A.n)
 
 
+def brute_automorphism_count(K: SimplicialSphere) -> int:
+    """Count the degree-respecting vertex permutations that fix the face set.
+
+    Every vertex bijection that keeps each vertex's degree is tried, as in
+    :func:`brute_isomorphic`, and counted when it maps every face of ``K``
+    onto a face.  Mirror symmetries count too.
+    """
+    if K.n > _ISO_LIMIT:
+        raise TooLarge(f"bijection search capped at {_ISO_LIMIT} vertices, got {K.n}")
+    by_degree = {}
+    for v in range(K.n):
+        by_degree.setdefault(K.degree(v), []).append(v)
+    classes = list(by_degree.values())
+    faces = set(K.faces)
+
+    def count(idx: int, mapping: list[int]) -> int:
+        if idx == len(classes):
+            return int(all(
+                tuple(sorted((mapping[x], mapping[y], mapping[z]))) in faces
+                for x, y, z in K.faces
+            ))
+        total = 0
+        for perm in permutations(classes[idx]):
+            for src, dst in zip(classes[idx], perm):
+                mapping[src] = dst
+            total += count(idx + 1, mapping)
+        return total
+
+    return count(0, [-1] * K.n)
+
+
 def _all_splits(K: SimplicialSphere) -> list[SimplicialSphere]:
     """Every vertex split of K, adjacent link pairs included.
 

@@ -49,6 +49,7 @@ class SimplicialSphere:
         "_succ",
         "_link_cache",
         "_canon_form",
+        "_canon_ties",
     )
 
     def __init__(
@@ -65,6 +66,7 @@ class SimplicialSphere:
         self._succ: tuple[dict[int, int], ...] = tuple(succ)
         self._link_cache: dict[int, tuple[int, ...]] = {}
         self._canon_form: bytes | None = None
+        self._canon_ties: int | None = None
 
     # -- basic accessors ---------------------------------------------------
 

@@ -97,3 +97,19 @@ def test_expansion_specs_are_link_diagonals(s7):
         cyc = s7.link_cycle(spec.w)
         i, j = sorted((cyc.index(spec.a), cyc.index(spec.b)))
         assert j - i >= 2 and not (i == 0 and j == len(cyc) - 1)
+
+
+def test_flag_splits_build_no_child(s7, monkeypatch):
+    want = [spec for spec, _ in fs.flag_expansions(s7)]
+
+    def refuse(*args):
+        raise AssertionError("flag_splits built a child")
+
+    monkeypatch.setattr(fs.expansion, "_split", refuse)
+    assert list(fs.flag_splits(s7)) == want
+
+
+def test_flag_splits_reject_non_flag_at_the_call(tetra, bipyramid):
+    for K in (tetra, bipyramid):
+        with pytest.raises(fs.NotFlag):
+            fs.flag_splits(K)

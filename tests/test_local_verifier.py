@@ -187,3 +187,11 @@ def test_verifier_scales_to_n100():
     check = fs.verify_certificate(with_step(cert, idx, forced_step(cur, sides[0])))
     u, v = sides[0]
     assert (check.ok, check.reason) == (False, f"step {idx}: edge {{{u}, {v}}} lies in a belt")
+
+
+def test_malformed_edge_fails_without_raising(s7):
+    cert = fs.reduce_to_octahedron(s7)
+    step = cert.steps[0]
+    for edge in ((0, 1, 2), (0,), 5, None):
+        check = fs.verify_certificate(with_step(cert, 0, replace(step, edge=edge)))
+        assert (check.ok, check.reason) == (False, f"step 0: edge {edge!r} is not a vertex pair")
