@@ -21,9 +21,10 @@ A start that ties the best code to the end is not wasted: its labeling
 and the winner's both map the sphere onto the same code, so together they
 give one automorphism of the canonical representative.  Every
 automorphism maps a minimum-degree root to another, so the ties give the
-whole group, mirrors included.  The search records which starts reach
-the code, one bit per start, and the group is built from those starts'
-labelings only when asked for.
+whole group, mirrors included.  The search returns the labelings of the
+starts that reach the code, the winner's first, next to the code; the
+group is built from them only when asked for.  Every function here is
+pure: nothing is cached on the sphere.
 """
 
 from __future__ import annotations
@@ -95,23 +96,27 @@ def _starts(K: SimplicialSphere) -> list:
     ]
 
 
-def _min_code(K: SimplicialSphere) -> tuple[list[tuple[int, int, int]], int]:
-    """The least code over all starts that can win, and which starts reach it.
+def _min_code(
+    K: SimplicialSphere,
+) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """The least code over all starts that can win, and the labelings that reach it.
 
-    Returns the code as sorted face triples and a bit mask over
-    :func:`_starts` in which bit k is set when start k reaches the code.
+    Returns the code as sorted face triples and, in :func:`_starts` order,
+    the labeling of every start whose code equals it; the first is the
+    winner's.
     """
     n = K.n
     s = max(1, (n - 1).bit_length())
     best = None
-    ties = 0
-    for k, (rot, u, v) in enumerate(_starts(K)):
+    labels = []
+    for rot, u, v in _starts(K):
         found = _start_code(n, rot, u, v, s, best)
         if found is not None:
-            ties = ties | 1 << k if found[0] is best else 1 << k
-            best = found[0]
+            if found[0] is not best:
+                best, labels = found[0], []
+            labels.append(found[1])
     mask = (1 << s) - 1
-    return [(e >> (2 * s), (e >> s) & mask, e & mask) for e in best], ties
+    return [(e >> (2 * s), (e >> s) & mask, e & mask) for e in best], labels
 
 
 def encode_face_set(n: int, faces) -> bytes:
@@ -142,16 +147,7 @@ def canonical_form(K: SimplicialSphere) -> bytes:
     (including mirror images); the rendering is stable across runs and
     platforms.
     """
-    if K._canon_form is None:
-        _canonize(K)
-    return K._canon_form
-
-
-def _canonize(K: SimplicialSphere) -> None:
-    """Run the search once; cache the form and the mask of tying starts on ``K``."""
-    code, ties = _min_code(K)
-    K._canon_form = encode_face_set(K.n, code)
-    K._canon_ties = ties
+    return encode_face_set(K.n, _min_code(K)[0])
 
 
 def canonical_automorphisms(K: SimplicialSphere) -> tuple[tuple[int, ...], ...]:
@@ -160,20 +156,13 @@ def canonical_automorphisms(K: SimplicialSphere) -> tuple[tuple[int, ...], ...]:
     Each element ``p`` maps canonical label ``x`` to ``p[x]`` and maps the
     faces of :func:`canonical_sphere` onto themselves; orientation-reversing
     ones are included.  For a canonically labeled sphere, such as a Hasse
-    node's, this is the group of ``K`` itself.  It is read off the starts
-    that tie in the search behind :func:`canonical_form`: once the form of
-    this object is known, only those starts are relabeled again, one per
-    element, and no other start is tried.
+    node's, this is the group of ``K`` itself.  It costs one search, the
+    one behind :func:`canonical_form`: each start that ties the winner
+    gives one element, ``p[best[x]] = label[x]`` for the winner's labeling
+    ``best``.
     """
-    if K._canon_ties is None:
-        _canonize(K)
     n = K.n
-    s = max(1, (n - 1).bit_length())
-    best, *ties = [
-        _start_code(n, rot, u, v, s, None)[1]
-        for k, (rot, u, v) in enumerate(_starts(K))
-        if K._canon_ties >> k & 1
-    ]
+    _, (best, *ties) = _min_code(K)
     out = [tuple(range(n))]
     for label in ties:
         p = [0] * n
@@ -191,9 +180,7 @@ def form_hex(form: bytes) -> str:
 def sphere_from_form(form: bytes) -> SimplicialSphere:
     """Reconstruct the canonical representative encoded by ``form``."""
     n, faces = decode_form(form)
-    sphere = from_faces(n, faces)
-    sphere._canon_form = form
-    return sphere
+    return from_faces(n, faces)
 
 
 def canonical_sphere(K: SimplicialSphere) -> SimplicialSphere:

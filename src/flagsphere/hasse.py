@@ -12,11 +12,11 @@ Splits that an automorphism of the parent maps onto each other give
 isomorphic children, hence the same arc, so each parent is split once per
 orbit of its splits (w, {a, b}) under its group: the first split of an
 orbit in :func:`flag_splits` order is made and the rest are skipped.  The
-group of a new class is read off the same canonical-form search that
-found the class (:func:`canonical_automorphisms`), because the node's
-sphere is the canonical representative.  The first split of each orbit
-is the one that met its class first, so nodes appear in the same order
-and carry the same arcs as with every split made.
+group of each parent is :func:`canonical_automorphisms` of its own
+sphere, the canonical representative, computed when the parent is split:
+one search per parent next to one per child made.  The first split of
+each orbit is the one that met its class first, so nodes appear in the
+same order and carry the same arcs as with every split made.
 
 Two per-node degree bounds hold and are checked by verify_degree_bounds:
 in-degree is at most the number of belt-free edges (each in-arc consumes a
@@ -68,25 +68,24 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
     """All flag-sphere classes with 6 <= n <= max_n and their contraction arcs.
 
     Breadth-first from the octahedron, splitting each parent once per
-    automorphism orbit of its flag splits; every node's sphere is the
-    canonical representative, so downstream exports are label-stable.
+    orbit of its flag splits under the group of its own sphere.  Every
+    node's sphere is the canonical representative, so that group is the
+    parent's own and downstream exports are label-stable.
     ``jobs`` is accepted for compatibility and has no effect: the work is
     pure Python, which threads cannot run in parallel.
     """
-    if max_n < 6:
-        raise BudgetTooSmall(f"need max_n >= 6, got {max_n}")
-    octa = octahedron()
-    start = canonical_sphere(octa)
+    if type(max_n) is not int or max_n < 6:
+        raise BudgetTooSmall(f"need max_n >= 6, got {max_n!r}")
+    start = canonical_sphere(octahedron())
     f0 = canonical_form(start)
     nodes = {f0: HasseNode(f0, 6, start)}
-    groups = {f0: canonical_automorphisms(octa)}  # of the frontier's classes
     arcs = set()
     frontier = [f0]
     for n in range(6, max_n):
         nxt = []
         for parent in frontier:
             K = nodes[parent].sphere
-            group = groups.pop(parent)
+            group = canonical_automorphisms(K)
             seen = set()
             for spec in flag_splits(K):
                 w, a, b = spec.w, spec.a, spec.b
@@ -100,8 +99,6 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1, sphere_from_form(cf))
                     nxt.append(cf)
-                    if n + 1 < max_n:
-                        groups[cf] = canonical_automorphisms(child)
                 arcs.add((parent, cf))
         frontier = nxt
     return HasseGraph(max_n, nodes, frozenset(arcs))
@@ -169,10 +166,6 @@ def verify_degree_bounds(G: HasseGraph) -> BoundsReport:
     return BoundsReport(tuple(entries))
 
 
-def _sorted_arcs(G: HasseGraph) -> list[tuple[bytes, bytes]]:
-    return sorted(G.arcs)
-
-
 def export_dot(G: HasseGraph) -> str:
     """Deterministic DOT rendering, nodes and arcs sorted by form."""
     lines = ["digraph hasse {"]
@@ -180,7 +173,7 @@ def export_dot(G: HasseGraph) -> str:
         node = G.nodes[form]
         hx = form_hex(form)
         lines.append(f'  "{hx}" [label="{hx[:12]} n={node.n}"];')
-    for src, dst in _sorted_arcs(G):
+    for src, dst in sorted(G.arcs):
         lines.append(f'  "{form_hex(src)}" -> "{form_hex(dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -204,7 +197,7 @@ def export_json(G: HasseGraph) -> str:
             }
             for form in sorted(G.nodes)
         ],
-        "arcs": [[form_hex(a), form_hex(b)] for a, b in _sorted_arcs(G)],
+        "arcs": [[form_hex(a), form_hex(b)] for a, b in sorted(G.arcs)],
     }
     return json.dumps(obj, indent=2) + "\n"
 

@@ -137,10 +137,14 @@ def clique_is_flag(K: SimplicialSphere) -> bool:
     return True
 
 
-def brute_isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
-    """Search all degree-respecting vertex bijections for a face match."""
-    if A.n != B.n or A.n_faces != B.n_faces:
-        return False
+def _bijections(A: SimplicialSphere, B: SimplicialSphere):
+    """Every degree-respecting vertex bijection A -> B mapping faces onto faces.
+
+    Each is yielded as a list, ``mapping[x]`` the image of ``x``, that is
+    reused for the next one.  Vertices are grouped by degree and every
+    permutation within each group is tried, so A and B must have the same
+    vertex and face counts.
+    """
     if A.n > _ISO_LIMIT:
         raise TooLarge(f"bijection search capped at {_ISO_LIMIT} vertices, got {A.n}")
     deg_a = {}
@@ -150,28 +154,35 @@ def brute_isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
     for v in range(B.n):
         deg_b.setdefault(B.degree(v), []).append(v)
     if sorted(deg_a) != sorted(deg_b):
-        return False
+        return
     if any(len(deg_a[k]) != len(deg_b[k]) for k in deg_a):
-        return False
+        return
     classes = sorted(deg_a)
-    faces_a = A.faces
     target = set(B.faces)
+    mapping = [-1] * A.n
 
-    def assign(idx: int, mapping: list[int]) -> bool:
+    def assign(idx: int):
         if idx == len(classes):
-            return all(
+            if all(
                 tuple(sorted((mapping[x], mapping[y], mapping[z]))) in target
-                for x, y, z in faces_a
-            )
+                for x, y, z in A.faces
+            ):
+                yield mapping
+            return
         k = classes[idx]
         for perm in permutations(deg_b[k]):
             for src, dst in zip(deg_a[k], perm):
                 mapping[src] = dst
-            if assign(idx + 1, mapping):
-                return True
-        return False
+            yield from assign(idx + 1)
 
-    return assign(0, [-1] * A.n)
+    yield from assign(0)
+
+
+def brute_isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
+    """Search all degree-respecting vertex bijections for a face match."""
+    if A.n != B.n or A.n_faces != B.n_faces:
+        return False
+    return next(_bijections(A, B), None) is not None
 
 
 def brute_automorphism_count(K: SimplicialSphere) -> int:
@@ -181,28 +192,7 @@ def brute_automorphism_count(K: SimplicialSphere) -> int:
     :func:`brute_isomorphic`, and counted when it maps every face of ``K``
     onto a face.  Mirror symmetries count too.
     """
-    if K.n > _ISO_LIMIT:
-        raise TooLarge(f"bijection search capped at {_ISO_LIMIT} vertices, got {K.n}")
-    by_degree = {}
-    for v in range(K.n):
-        by_degree.setdefault(K.degree(v), []).append(v)
-    classes = list(by_degree.values())
-    faces = set(K.faces)
-
-    def count(idx: int, mapping: list[int]) -> int:
-        if idx == len(classes):
-            return int(all(
-                tuple(sorted((mapping[x], mapping[y], mapping[z]))) in faces
-                for x, y, z in K.faces
-            ))
-        total = 0
-        for perm in permutations(classes[idx]):
-            for src, dst in zip(classes[idx], perm):
-                mapping[src] = dst
-            total += count(idx + 1, mapping)
-        return total
-
-    return count(0, [-1] * K.n)
+    return sum(1 for _ in _bijections(K, K))
 
 
 def _all_splits(K: SimplicialSphere) -> list[SimplicialSphere]:
@@ -238,8 +228,8 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
     search, larger levels by canonical form.  ``jobs`` is accepted for
     compatibility and has no effect.
     """
-    if max_n < 4:
-        raise BudgetTooSmall(f"need max_n >= 4, got {max_n}")
+    if type(max_n) is not int or max_n < 4:
+        raise BudgetTooSmall(f"need max_n >= 4, got {max_n!r}")
     if max_n > _ENUMERATION_LIMIT:
         raise BudgetTooLarge(f"enumeration capped at {_ENUMERATION_LIMIT}, got {max_n}")
     levels: list[list[SimplicialSphere]] = [[tetrahedron()]]

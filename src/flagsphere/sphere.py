@@ -4,11 +4,12 @@ A sphere is stored purely combinatorially: a vertex count ``n``, its
 triangles as sorted vertex triples, its edges, the neighbor set of each
 vertex and one rotation system, which maps each neighbor of a vertex to
 the next one around it in a single orientation shared by all vertices.
-Validation accepts exactly the complexes that triangulate S2: every edge
-in two triangles, every vertex link a single cycle, Euler characteristic
-2, face-connected.  Instances are immutable after construction and safe
-to share between threads; every operation in this package treats them
-as values.
+Edge and face membership is read off the neighbor sets and the rotation;
+no separate set of edges or faces is kept.  Validation accepts exactly
+the complexes that triangulate S2: every edge in two triangles, every
+vertex link a single cycle, Euler characteristic 2, face-connected.
+Instances are immutable after construction and safe to share between
+threads; every operation in this package treats them as values.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ class SimplicialSphere:
     input is (given the link condition, for contraction).
 
     An instance stores its faces, its edges, the neighbor set of each
-    vertex and one rotation (see :meth:`rotation`); link cycles and
-    reversed rotations are derived from that rotation on demand.
+    vertex and one rotation (see :meth:`rotation`), and nothing that
+    belongs to another module.  Link cycles, reversed rotations and edge
+    and face membership are derived from the neighbor sets and the
+    rotation on demand.
 
     Equality and hashing compare the exact labeled face set; use
     :func:`flagsphere.canonical.isomorphic` for equality up to relabeling.
@@ -42,14 +45,10 @@ class SimplicialSphere:
     __slots__ = (
         "n",
         "faces",
-        "_face_set",
         "_edges",
-        "_edge_set",
         "_neighbors",
         "_succ",
         "_link_cache",
-        "_canon_form",
-        "_canon_ties",
     )
 
     def __init__(
@@ -59,14 +58,10 @@ class SimplicialSphere:
             raise TypeError("use from_faces() to construct a SimplicialSphere")
         self.n = n
         self.faces = faces
-        self._face_set = frozenset(faces)
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
-        self._edge_set = frozenset(self._edges)
         self._neighbors: tuple[frozenset[int], ...] = tuple(map(frozenset, succ))
         self._succ: tuple[dict[int, int], ...] = tuple(succ)
         self._link_cache: dict[int, tuple[int, ...]] = {}
-        self._canon_form: bytes | None = None
-        self._canon_ties: int | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -91,21 +86,24 @@ class SimplicialSphere:
         """
         if type(u) is not int or type(v) is not int:
             raise BadVertex(f"vertex {(v if type(u) is int else u)!r} is not an int")
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        return 0 <= u < self.n and v in self._neighbors[u]
 
     def has_face(self, face) -> bool:
         """True iff ``face`` lists the vertices of a face, in any order.
 
-        Raises BadVertex for a vertex that is not an ``int``, as
-        :meth:`has_edge` does.
+        Read off the rotation: a, b, c span a face iff c follows b, or b
+        follows c, around a.  Raises BadVertex for a vertex that is not an
+        ``int``, as :meth:`has_edge` does.
         """
         face = tuple(face)
         for v in face:
             if type(v) is not int:
                 raise BadVertex(f"vertex {v!r} is not an int")
-        return tuple(sorted(face)) in self._face_set
+        if len(face) != 3 or not 0 <= face[0] < self.n:
+            return False
+        a, b, c = face
+        rot = self._succ[a]
+        return rot.get(b) == c or rot.get(c) == b
 
     @property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -197,8 +195,11 @@ def from_faces(n: int, faces) -> SimplicialSphere:
 
     Faces may be given in any order and any within-face order; they are
     stored as sorted triples in sorted order.  Raises :class:`NotASphere`
-    with a reason code when any invariant fails.
+    with a reason code when any invariant fails, including a vertex count
+    that is not a non-negative ``int``.
     """
+    if type(n) is not int or n < 0:
+        raise NotASphere("bad-index", f"vertex count {n!r} is not a non-negative int")
     norm: list[Face] = []
     for f in faces:
         try:

@@ -29,6 +29,12 @@ def test_build_budget_guard():
         fs.build(5)
 
 
+def test_build_rejects_non_int_budget():
+    for max_n in (7.5, "7", None, 7.0):
+        with pytest.raises(fs.BudgetTooSmall):
+            fs.build(max_n)
+
+
 def test_levels_match_oracle_filter(corpus9):
     want = {}
     for K in corpus9:

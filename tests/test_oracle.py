@@ -62,6 +62,12 @@ def test_enumerate_budget_guards():
         fs.enumerate_all_spheres(12)
 
 
+def test_enumerate_rejects_non_int_budget():
+    for max_n in (5.5, "5", None, 5.0):
+        with pytest.raises(fs.BudgetTooSmall):
+            fs.enumerate_all_spheres(max_n)
+
+
 def test_enumerate_counts_frozen(corpus10):
     assert _counts(corpus10) == ALL_SPHERE_COUNTS
 

@@ -128,6 +128,17 @@ def test_rejects_huge_vertex_count_without_listing_it():
     assert "[3, 4, 5, 6, 7] and 99999992 more" in str(exc.value)
 
 
+def test_rejects_malformed_vertex_count(octa):
+    for n in (6.0, "6", None, True, -3):
+        with pytest.raises(fs.NotASphere) as exc:
+            fs.from_faces(n, octa.faces)
+        assert exc.value.reason == "bad-index"
+        assert "not a non-negative int" in str(exc.value)
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.parse_tri("-3\n")
+    assert str(exc.value) == "bad-index: vertex count -3 is not a non-negative int"
+
+
 def test_rejects_duplicate_face():
     with pytest.raises(fs.NotASphere) as exc:
         fs.from_faces(4, [(0, 1, 2), (2, 1, 0), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
