@@ -8,14 +8,18 @@ over all starts.  Scanning both directions makes mirror images share a
 form, and the minimal code is itself a relabeled copy of the sphere, so
 the form is a complete isomorphism invariant, not just a hash.
 
-Two rules skip work without changing that minimum.  Every code begins
-(0,1,2), (0,1,deg u), so only roots u of minimum degree can win.  And
-once the vertex labeled i is dequeued its faces whose other labels both
-exceed i are known: they are exactly the code entries that begin with i,
-and follow all entries beginning with a smaller label.  The code is thus
-emitted in sorted order, chunk by chunk, and compared with the best code
-so far as it grows: the first larger entry drops the start, and after
-the first smaller one the start is finished as the new best.
+Three rules skip work without changing that minimum.  Every code begins
+(0,1,2), (0,1,d) for d = deg u, so only roots u of minimum degree can
+win.  When the only common neighbours of u and v are the apexes of uv,
+the first entry that begins with 1 is (1,2,d+deg v-3), so of those
+starts only the ones of least deg v can win; an edge with a third
+common neighbour, which only a non-flag sphere has, is always tried.
+And once the vertex labeled i is dequeued its faces whose other labels
+both exceed i are known: they are exactly the code entries that begin
+with i, and follow all entries beginning with a smaller label.  The code
+is thus emitted in sorted order, chunk by chunk, and compared with the
+best code so far as it grows: the first larger entry drops the start,
+and after the first smaller one the start is finished as the new best.
 
 A start that ties the best code to the end is not wasted: its labeling
 and the winner's both map the sphere onto the same code, so together they
@@ -86,12 +90,20 @@ def _starts(K: SimplicialSphere) -> list:
     """The starts that can win, in search order, as ``(rot, u, v)``."""
     succ = [K.rotation(v) for v in range(K.n)]
     pred = [K.rotation(v, reverse=True) for v in range(K.n)]
-    d = min(map(len, succ))
+    adj = K.adjacency
+    d = min(map(len, adj))
+    # clean: the edge's only common neighbours are its two apexes
+    edges = [
+        (u, v, len(adj[u] & adj[v]) == 2)
+        for u in range(K.n)
+        if len(adj[u]) == d
+        for v in succ[u]
+    ]
+    e = min((len(adj[v]) for _, v, clean in edges if clean), default=K.n)
     return [
         (rot, u, v)
-        for u in range(K.n)
-        if len(succ[u]) == d
-        for v in succ[u]
+        for u, v, clean in edges
+        if not clean or len(adj[v]) <= e
         for rot in (succ, pred)
     ]
 

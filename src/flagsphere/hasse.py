@@ -41,7 +41,7 @@ from .canonical import (
 )
 from .errors import BudgetTooSmall, FormatError
 from .expansion import expansion_bound, flag_splits, split_vertex
-from .flags import belt_covered_edges
+from .flags import belt_covered_edges, is_flag
 from .sphere import SimplicialSphere, from_faces, octahedron
 
 
@@ -206,7 +206,10 @@ def import_json(text: str) -> HasseGraph:
     """Rebuild a graph from export_json output.
 
     Every node is revalidated as a sphere and its recomputed form must
-    hash to the stored one, so a tampered file cannot round-trip.
+    hash to the stored one, so a tampered file cannot round-trip.  What
+    :func:`build` cannot write is rejected too: ``max_n < 6``, a node
+    with ``n`` outside ``6..max_n``, a non-flag node, a node listed
+    twice, and an arc that does not go up exactly one level.
     """
     try:
         obj = json.loads(text)
@@ -222,6 +225,9 @@ def import_json(text: str) -> HasseGraph:
         or not isinstance(obj.get("arcs", []), list)
     ):
         raise FormatError("graph file must carry max_n, a node list and an arc list")
+    max_n = obj["max_n"]
+    if max_n < 6:
+        raise FormatError(f"graph max_n must be at least 6, got {max_n}")
     nodes = {}
     by_hex = {}
     for entry in obj["nodes"]:
@@ -232,6 +238,8 @@ def import_json(text: str) -> HasseGraph:
             or not isinstance(entry.get("form"), str)
         ):
             raise FormatError("graph node entry is malformed")
+        if not 6 <= entry["n"] <= max_n:
+            raise FormatError(f"graph node has n = {entry['n']}, outside 6..{max_n}")
         sphere = from_faces(entry["n"], entry["faces"])
         form = canonical_form(sphere)
         if form != encode_face_set(sphere.n, sphere.faces) or form_hex(form) != entry["form"]:
@@ -239,6 +247,10 @@ def import_json(text: str) -> HasseGraph:
                 f"node {entry['form'][:12]} is not a canonically labeled"
                 " representative of its own form"
             )
+        if form in nodes:
+            raise FormatError(f"node {entry['form'][:12]} is listed twice")
+        if not is_flag(sphere):
+            raise FormatError(f"node {entry['form'][:12]} is not a flag sphere")
         nodes[form] = HasseNode(form, sphere.n, sphere)
         by_hex[entry["form"]] = form
     arcs = set()
@@ -249,8 +261,13 @@ def import_json(text: str) -> HasseGraph:
             or not all(isinstance(h, str) and h in by_hex for h in arc)
         ):
             raise FormatError("graph arc references an unknown node")
-        arcs.add((by_hex[arc[0]], by_hex[arc[1]]))
-    return HasseGraph(obj["max_n"], nodes, frozenset(arcs))
+        tail, head = by_hex[arc[0]], by_hex[arc[1]]
+        if nodes[head].n != nodes[tail].n + 1:
+            raise FormatError(
+                f"graph arc {arc[0][:12]} -> {arc[1][:12]} does not go up one level"
+            )
+        arcs.add((tail, head))
+    return HasseGraph(max_n, nodes, frozenset(arcs))
 
 
 def export_levels_tsv(G: HasseGraph) -> str:

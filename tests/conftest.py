@@ -72,3 +72,40 @@ def random_sphere():
         return K
 
     return grow
+
+
+def _icosahedron_minus_face(a, b, c, first):
+    """Icosahedron faces minus one, its boundary on a, b, c, new vertices from ``first``."""
+    upper = [1 + i for i in range(5)]
+    lower = [6 + i for i in range(5)]
+    faces = []
+    for i in range(5):
+        j = (i + 1) % 5
+        faces += [
+            (0, upper[i], upper[j]),
+            (upper[i], upper[j], lower[i]),
+            (upper[j], lower[i], lower[j]),
+            (11, lower[i], lower[j]),
+        ]
+    faces.remove((0, upper[0], upper[1]))
+    name = {0: a, upper[0]: b, upper[1]: c}
+    for x in range(12):
+        if x not in name:
+            name[x] = first
+            first += 1
+    return [tuple(name[x] for x in f) for f in faces]
+
+
+@pytest.fixture(scope="session")
+def sphere24():
+    """An n = 24 non-flag sphere whose min-degree root 0 has an edge 0-1 with
+    three common neighbours: 2, 3 and 4.
+
+    Six faces around u, v, w, z, x, y = 0..5 leave the empty triangles
+    vxz and wyz; each is capped by an icosahedron minus one face.
+    """
+    u, v, w, z, x, y = range(6)
+    faces = [(u, v, w), (v, z, w), (u, v, x), (u, x, z), (u, w, y), (u, y, z)]
+    faces += _icosahedron_minus_face(v, x, z, 6)
+    faces += _icosahedron_minus_face(w, y, z, 15)
+    return fs.from_faces(24, faces)

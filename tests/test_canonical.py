@@ -166,3 +166,24 @@ def test_form_above_1024_vertices_is_invariant_and_round_trips(relabel):
     rep = fs.sphere_from_form(form)
     assert rep.n == 1100
     assert fs.canonical_form(fs.from_faces(rep.n, rep.faces)) == form
+
+
+def test_starts_keep_edges_with_extra_common_neighbours(sphere24, relabel):
+    """A root edge with a third common neighbour can beat a smaller-degree head.
+
+    The start filter drops a start u->v only when uv's common neighbours
+    are exactly its two apexes and a start with a smaller deg v exists;
+    a filter on deg v alone gives a different (wrong) form here.
+    """
+    K = sphere24
+    adj = K.adjacency
+    d = min(map(len, adj))
+    assert d == 5 and len(adj[0]) == d
+    assert adj[0] & adj[1] == {2, 3, 4}
+    assert not fs.is_flag(K)
+    form = reference_form(K)
+    assert fs.canonical_form(K) == form
+    rng = random.Random(24)
+    for _ in range(20):
+        image = shuffled(K, relabel, rng)
+        assert fs.canonical_form(image) == reference_form(image) == form

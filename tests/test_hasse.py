@@ -192,3 +192,72 @@ def test_levels_match_a007021_through_13():
     # OEIS A007021 at n = 12 and 13: 87 and 313 flag spheres
     want = {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25, 12: 87, 13: 313}
     assert fs.build(13).level_counts() == want
+
+
+def graph7_json():
+    import json
+
+    return json.loads(fs.export_json(fs.build(7)))
+
+
+def assert_import_rejects(obj):
+    import json
+
+    with pytest.raises(fs.FormatError):
+        fs.import_json(json.dumps(obj))
+
+
+def node_entry(K):
+    """A well-formed graph node for the class of ``K``."""
+    rep = fs.canonical_sphere(K)
+    return {
+        "form": fs.form_hex(fs.canonical_form(rep)),
+        "n": rep.n,
+        "faces": [list(f) for f in rep.faces],
+    }
+
+
+def test_import_rejects_duplicate_node():
+    obj = graph7_json()
+    obj["nodes"].append(obj["nodes"][0])
+    assert_import_rejects(obj)
+
+
+def test_import_rejects_max_n_below_six():
+    for max_n in (-1, 0, 5):
+        obj = graph7_json()
+        obj["nodes"], obj["arcs"], obj["max_n"] = [], [], max_n
+        assert_import_rejects(obj)
+
+
+def test_import_rejects_node_outside_levels():
+    obj = graph7_json()
+    obj["max_n"] = 6
+    assert_import_rejects(obj)
+    bipyramid = fs.from_faces(
+        5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    )
+    obj = graph7_json()
+    obj["nodes"].append(node_entry(bipyramid))
+    assert_import_rejects(obj)
+
+
+def test_import_rejects_non_flag_node():
+    # the octahedron with one face stacked: n = 7, a degree-3 vertex
+    octa = fs.octahedron()
+    a, b, c = octa.faces[0]
+    faces = [f for f in octa.faces if f != (a, b, c)]
+    faces += [(a, b, 6), (a, c, 6), (b, c, 6)]
+    K = fs.from_faces(7, faces)
+    assert not fs.is_flag(K)
+    obj = graph7_json()
+    obj["nodes"].append(node_entry(K))
+    assert_import_rejects(obj)
+
+
+def test_import_rejects_arc_not_one_level_up():
+    obj = graph7_json()
+    [[tail, head]] = obj["arcs"]
+    for arc in ([head, tail], [tail, tail], [head, head]):
+        obj["arcs"] = [arc]
+        assert_import_rejects(obj)
