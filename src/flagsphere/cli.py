@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every library operation is exposed on files and streams.  Inputs named
-"-" read stdin; output options named "-" write stdout.  Domain errors
-exit 1 with a single machine-parseable line `ERR <CODE>: <detail>` on
-stderr; usage errors exit 2.
+"-" read stdin; output options named "-" write stdout, and the command's
+status lines then go to stderr, so stdout holds the output alone.
+Domain errors exit 1 with a single machine-parseable line
+`ERR <CODE>: <detail>` on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -105,10 +106,15 @@ def _cmd_contract(args) -> int:
     return 0
 
 
+def _status_stream(*outputs):
+    """stderr when an export goes to stdout, so the export stays clean; else stdout."""
+    return sys.stderr if "-" in outputs else sys.stdout
+
+
 def _cmd_reduce(args) -> int:
     K = _load_sphere(args.file)
     cert = reduce_to_octahedron(K)
-    print(f"steps: {len(cert.steps)}")
+    print(f"steps: {len(cert.steps)}", file=_status_stream(args.cert))
     if args.cert:
         _write_text(args.cert, certificate_to_json(cert))
     return 0
@@ -152,7 +158,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_hasse(args) -> int:
     G = build(args.max_n, jobs=args.jobs)
-    print("levels: " + " ".join(f"{n}:{c}" for n, c in G.level_counts().items()))
+    status = _status_stream(args.dot, args.json, args.tsv)
+    print("levels: " + " ".join(f"{n}:{c}" for n, c in G.level_counts().items()), file=status)
     if args.dot:
         _write_text(args.dot, export_dot(G))
     if args.json:
@@ -161,7 +168,7 @@ def _cmd_hasse(args) -> int:
         _write_text(args.tsv, export_levels_tsv(G))
     report = verify_degree_bounds(G)
     if report.ok:
-        print("bounds OK")
+        print("bounds OK", file=status)
         return 0
     for e in report.violations:
         print(

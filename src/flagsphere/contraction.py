@@ -11,9 +11,9 @@ certificate.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .canonical import isomorphic
 from .errors import (
     FlagsphereError,
     FormatError,
@@ -23,7 +23,27 @@ from .errors import (
 )
 from .flags import _belt_side, _norm_edge, belt_covered_edges, edge_in_belt, is_flag
 from .oracle import brute_is_flag, brute_isomorphic, clique_is_flag, edge_belts
-from .sphere import SimplicialSphere, _contracted, from_faces, octahedron
+from .sphere import (
+    SimplicialSphere,
+    _contract_rotations,
+    _contracted,
+    _from_rotation,
+    from_faces,
+    octahedron,
+)
+
+
+def _spans_face(rot, a: int, b: int) -> bool:
+    """True iff ``a``, ``b`` and the centre of the rotation ``rot`` span a face."""
+    return rot.get(a) == b or rot.get(b) == a
+
+
+def _link_ok(nu, nv, rot_u, rot_v, u: int, v: int) -> bool:
+    """:func:`link_condition` from the neighbor sets and rotations of u and v."""
+    p, q = rot_v[u], rot_u[v]
+    if nu & nv != {p, q}:
+        return False
+    return not (_spans_face(rot_u, p, q) and _spans_face(rot_v, p, q))
 
 
 def link_condition(K: SimplicialSphere, e) -> bool:
@@ -35,12 +55,9 @@ def link_condition(K: SimplicialSphere, e) -> bool:
     on the tetrahedron, whose contractions collapse).
     """
     u, v = _norm_edge(K, e)
-    common = K.neighbors(u) & K.neighbors(v)
-    apexes = {w for w in common if K.has_face((u, v, w))}
-    if common != apexes:
-        return False
-    a, b = sorted(apexes)
-    return not (K.has_face((u, a, b)) and K.has_face((v, a, b)))
+    return _link_ok(
+        K.neighbors(u), K.neighbors(v), K.rotation(u), K.rotation(v), u, v
+    )
 
 
 def contract_mapped(K: SimplicialSphere, e) -> tuple[SimplicialSphere, tuple[int, ...]]:
@@ -123,25 +140,58 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     certificate is a pure function of the input labeling.  A flag sphere
     on more than 6 vertices always has a belt-free edge; running out of
     them is an internal failure, not a caller error.
+
+    The reduction contracts in place, in the input's labels: it keeps one
+    list of rotation maps and neighbor sets and changes, per step, only
+    those of the edge's ends, its two apexes and v's neighbors (see
+    :func:`~flagsphere.sphere._contract_rotations`), after checking the
+    link condition.  The merged vertex keeps the smaller label and
+    compaction preserves order, so a vertex's current label is its rank
+    among the surviving input labels; each step's edge and relabeling are
+    read off those ranks.  One sphere is built, at the end, and it is
+    recognised as the octahedron by its degrees: the only triangulated
+    2-sphere on 6 vertices with every degree 4.
     """
     if not is_flag(K):
         raise NotFlag(f"sphere on {K.n} vertices is not flag")
-    cur = K
+    succ = [dict(K.rotation(x)) for x in range(K.n)]
+    adj = [set(rot) for rot in succ]
+    alive = list(range(K.n))
     steps = []
-    while cur.n > 6:
-        adj = cur.adjacency
-        edge = next((e for e in cur.edges if not _belt_side(adj, *e)), None)
+    while len(alive) > 6:
+        edge = next(
+            (
+                (i, u, v)
+                for i, u in enumerate(alive)
+                for v in sorted(w for w in adj[u] if w > u)
+                if not _belt_side(adj, u, v)
+            ),
+            None,
+        )
         if edge is None:
             raise InternalMinimalityViolation(
-                f"flag sphere on {cur.n} vertices has every edge in a belt"
+                f"flag sphere on {len(alive)} vertices has every edge in a belt"
             )
-        cur, relabel = contract_mapped(cur, edge)
-        steps.append(CertStep(edge, relabel))
-    if not isomorphic(cur, octahedron()):
+        i, u, v = edge
+        if not _link_ok(adj[u], adj[v], succ[u], succ[v], u, v):
+            raise LinkConditionViolated(
+                f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
+            )
+        j = bisect_left(alive, v)
+        steps.append(CertStep((i, j), (*range(j), i, *range(j, len(alive) - 1))))
+        _contract_rotations(succ, u, v)
+        for x in succ[v]:
+            adj[x] = set(succ[x])
+        del alive[j]
+    rank = {x: i for i, x in enumerate(alive)}
+    end = _from_rotation(
+        6, [{rank[y]: rank[z] for y, z in succ[x].items()} for x in alive]
+    )
+    if any(len(rot) != 4 for rot in end.adjacency):
         raise InternalMinimalityViolation(
             "reduction ended on a 6-vertex sphere that is not the octahedron"
         )
-    return ContractionCertificate(K, tuple(steps), cur)
+    return ContractionCertificate(K, tuple(steps), end)
 
 
 def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:

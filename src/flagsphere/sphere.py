@@ -30,7 +30,11 @@ class SimplicialSphere:
     :func:`octahedron`), which run the full validation.  Edge contraction
     and vertex splitting build their results from the input's rotation
     by construction, with no validation: they are spheres whenever the
-    input is (given the link condition, for contraction).
+    input is (given the link condition, for contraction).  A certified
+    reduction builds no sphere per step: it contracts in place, in the
+    input's labels, on copies of the input's rotation maps (see
+    :func:`_contract_rotations`) and builds one sphere, the 6-vertex end,
+    which it recognises as the octahedron by its degree sequence.
 
     An instance stores its faces, its edges, the neighbor set of each
     vertex and one rotation (see :meth:`rotation`), and nothing that
@@ -316,30 +320,52 @@ def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:
     return SimplicialSphere(n, tuple(faces), edges, succ, _token=_INTERNAL)
 
 
+def _contract_rotations(succ: list[dict[int, int]], u: int, v: int) -> None:
+    """Contract the edge {u, v} onto ``u`` in the rotation system ``succ``, unchecked.
+
+    ``succ`` is a list of successor maps indexed by vertex, as stored by a
+    sphere; the caller has checked the link condition.  With the faces
+    u-p-v and u-v-q at the edge, u's map trades its entries at ``v`` and
+    ``p`` for v's without ``u`` and ``q``, each apex drops ``v`` from its
+    map, and every other neighbor of ``v`` gets a new map with ``v``
+    renamed ``u``.  The maps of ``u`` and of the apexes change in place;
+    v's map is only read, so it still lists v's old neighbors.  No label
+    is renumbered: the other vertices keep theirs and ``v`` is simply no
+    longer reachable.  Each map keeps the entry order that a rebuild of
+    the contracted sphere would give it.
+    """
+    rot_u, rot_v = succ[u], succ[v]
+    p, q = rot_v[u], rot_u[v]
+    del rot_u[v], rot_u[p]
+    rot_u.update((y, z) for y, z in rot_v.items() if y != u and y != q)
+    at_p, at_q = succ[p], succ[q]
+    at_p[rot_v[p]] = at_p.pop(v)
+    at_q[u] = at_q.pop(v)
+    for x in rot_v:
+        if x != u and x != p and x != q:
+            succ[x] = {
+                (u if y == v else y): (u if z == v else z) for y, z in succ[x].items()
+            }
+
+
 def _contracted(K: SimplicialSphere, u: int, v: int, relabel) -> SimplicialSphere:
     """``K`` with the edge {u, v}, u < v, contracted onto ``u``, unchecked.
 
-    The caller has checked the link condition.  ``relabel`` maps each old
-    label to its new one: ``v`` to ``u``, labels above ``v`` down by one,
-    the rest to themselves.  With the faces u-p-v and u-v-q at the edge,
-    the merged vertex takes u's rotation without v and p plus v's without
-    u and q, and each apex drops v from its own rotation.
+    The caller has checked the link condition.  :func:`_contract_rotations`
+    runs on copies of the maps it changes in place, then ``relabel`` maps
+    each old label to its new one: ``v`` to ``u``, labels above ``v`` down
+    by one, the rest to themselves.
     """
     old = K._succ
-    p, q = old[v][u], old[u][v]
-    merged = {y: z for y, z in old[u].items() if y != v and y != p}
-    merged.update((y, z) for y, z in old[v].items() if y != u and y != q)
-    rots = list(old)
-    rots[u] = merged
-    for apex, before in ((p, old[v][p]), (q, u)):
-        rot = dict(old[apex])
-        rot[before] = rot.pop(v)
-        rots[apex] = rot
-    del rots[v]
+    succ = list(old)
+    for x in (u, old[v][u], old[u][v]):
+        succ[x] = dict(old[x])
+    _contract_rotations(succ, u, v)
+    del succ[v]
     # A map whose labels all lie below v keeps them, so it is shared.
     succ = [
         rot if max(rot) < v else {relabel[y]: relabel[z] for y, z in rot.items()}
-        for rot in rots
+        for rot in succ
     ]
     return _from_rotation(K.n - 1, succ)
 
@@ -392,7 +418,8 @@ def octahedron() -> SimplicialSphere:
     """The octahedron boundary in its fixed labeling.
 
     Opposite (non-adjacent) vertex pairs are {0,5}, {1,4}, {2,3}; this
-    labeling is relied on by tests and by the reduction terminal check.
+    labeling is relied on by tests and by the certificate verifier's end
+    check.
     """
     return from_faces(
         6,

@@ -101,6 +101,16 @@ def test_reduce_and_verify_cert(tri, s7, tmp_path, capsys):
     assert capsys.readouterr().out == "certificate: valid\n"
 
 
+def test_reduce_cert_to_stdout_pipes_into_verify_cert(tri, s7, capsys, monkeypatch):
+    assert run(["reduce", tri(s7), "--cert", "-"]) == 0
+    piped = capsys.readouterr()
+    assert piped.err == "steps: 1\n"
+    assert piped.out == fs.certificate_to_json(fs.reduce_to_octahedron(s7))
+    monkeypatch.setattr("sys.stdin", io.StringIO(piped.out))
+    assert run(["verify-cert", "-"]) == 0
+    assert capsys.readouterr().out == "certificate: valid\n"
+
+
 def test_verify_cert_rejects_tampered(tri, s7, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     run(["reduce", tri(s7), "--cert", str(cert_path)])
@@ -190,6 +200,14 @@ def test_hasse_small(tmp_path, capsys):
     assert dot.read_text(encoding="utf-8") == fs.export_dot(G)
     assert js.read_text(encoding="utf-8") == fs.export_json(G)
     assert tsv.read_text(encoding="utf-8") == fs.export_levels_tsv(G)
+
+
+def test_hasse_json_to_stdout_pipes_into_import_json(capsys):
+    assert run(["hasse", "--max-n", "8", "--json", "-"]) == 0
+    piped = capsys.readouterr()
+    assert piped.err == "levels: 6:1 7:1 8:2\nbounds OK\n"
+    assert piped.out == fs.export_json(fs.build(8))
+    assert fs.import_json(piped.out).level_counts() == {6: 1, 7: 1, 8: 2}
 
 
 def test_hasse_budget_error(capsys):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import flagsphere as fs
+from flagsphere.canonical import canonical_form
 
 
 def test_link_condition_examples(octa, s7, bipyramid):
@@ -214,3 +217,52 @@ def test_certificate_json_rejects_wrong_types(s7):
     obj["end"]["n"] = True
     with pytest.raises(fs.FormatError):
         fs.certificate_from_json(json.dumps(obj))
+
+
+def grow_flag_sphere(seed, target_n):
+    """Grow a flag sphere from the octahedron by seeded flag-preserving splits."""
+    rng = random.Random(seed)
+    K = fs.octahedron()
+    while K.n < target_n:
+        K = fs.split_vertex(K, rng.choice(list(fs.flag_splits(K))))
+    return K
+
+
+def reference_reduce(K):
+    """One sphere per step: the first edge on no belt, by public calls only."""
+    cur, steps = K, []
+    while cur.n > 6:
+        edge = next(e for e in cur.edges if not fs.edge_in_belt(cur, e))
+        cur, relabel = fs.contract_mapped(cur, edge)
+        steps.append(fs.CertStep(edge, relabel))
+    return fs.ContractionCertificate(K, tuple(steps), cur)
+
+
+def test_reduce_builds_one_sphere_and_no_canonical_form(monkeypatch):
+    K = grow_flag_sphere(40, 40)
+    built, searched = [], []
+    init = fs.SimplicialSphere.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    def counting_form(*args, **kwargs):
+        searched.append(args)
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(fs.SimplicialSphere, "__init__", counting_init)
+    for mod in (fs, fs.canonical):
+        monkeypatch.setattr(mod, "canonical_form", counting_form)
+    cert = fs.reduce_to_octahedron(K)
+    assert len(cert.steps) == 34
+    assert built == [6]
+    assert searched == []
+
+
+@pytest.mark.parametrize("seed, n", [(60, 60), (100, 100), (150, 150)])
+def test_reduce_matches_per_step_reference_at_scale(seed, n):
+    K = grow_flag_sphere(seed, n)
+    cert = fs.reduce_to_octahedron(K)
+    assert fs.certificate_to_json(cert) == fs.certificate_to_json(reference_reduce(K))
+    assert fs.verify_certificate(cert)
