@@ -34,6 +34,7 @@ pure: nothing is cached on the sphere.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from .errors import FormatError
 from .sphere import SimplicialSphere, from_faces
@@ -134,22 +135,18 @@ def _min_code(
 def encode_face_set(n: int, faces) -> bytes:
     """Serialize a face set as count-prefixed big-endian 32-bit integers."""
     sorted_faces = sorted(tuple(sorted(f)) for f in faces)
-    flat = [n, len(sorted_faces)]
-    for f in sorted_faces:
-        flat.extend(f)
-    return b"".join(x.to_bytes(4, "big") for x in flat)
+    flat = [x for f in sorted_faces for x in f]
+    return struct.pack(f">{2 + len(flat)}I", n, len(sorted_faces), *flat)
 
 
 def decode_form(form: bytes) -> tuple[int, list[tuple[int, int, int]]]:
     """Invert :func:`encode_face_set`."""
     if len(form) < 8 or len(form) % 4:
         raise FormatError("truncated canonical form")
-    ints = [int.from_bytes(form[i : i + 4], "big") for i in range(0, len(form), 4)]
-    n, f_count = ints[0], ints[1]
-    if len(ints) != 2 + 3 * f_count:
+    n, f_count, *flat = struct.unpack(f">{len(form) // 4}I", form)
+    if len(flat) != 3 * f_count:
         raise FormatError("canonical form length does not match its face count")
-    faces = [(ints[i], ints[i + 1], ints[i + 2]) for i in range(2, len(ints), 3)]
-    return n, faces
+    return n, list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
 def canonical_form(K: SimplicialSphere) -> bytes:

@@ -157,15 +157,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
+    outputs = (args.dot, args.json, args.tsv)
+    if outputs.count("-") > 1:
+        print("flagsphere hasse: error: only one export can go to stdout (-)", file=sys.stderr)
+        return 2
     G = build(args.max_n, jobs=args.jobs)
-    status = _status_stream(args.dot, args.json, args.tsv)
+    status = _status_stream(*outputs)
     print("levels: " + " ".join(f"{n}:{c}" for n, c in G.level_counts().items()), file=status)
-    if args.dot:
-        _write_text(args.dot, export_dot(G))
-    if args.json:
-        _write_text(args.json, export_json(G))
-    if args.tsv:
-        _write_text(args.tsv, export_levels_tsv(G))
+    for path, export in zip(outputs, (export_dot, export_json, export_levels_tsv)):
+        if path:
+            _write_text(path, export(G))
     report = verify_degree_bounds(G)
     if report.ok:
         print("bounds OK", file=status)

@@ -1,22 +1,22 @@
 """The Hasse graph of the contraction order on flag spheres.
 
 Nodes are isomorphism classes of flag spheres with 6 <= n <= max_n, each
-held as its canonical representative.  An arc runs from class A to class B
-when some flag sphere in B has a flag-preserving contraction landing in A,
-so arcs point from the smaller sphere to the larger and the octahedron is
-the unique source.  The graph is grown breadth-first from the octahedron
-by flag-preserving vertex splits; completeness follows from every flag
+held as its canonical form; ``node.sphere`` decodes it on every access, so
+hold the result to reuse it.  An arc runs from class A to class B when some
+flag sphere in B has a flag-preserving contraction landing in A, so arcs
+point from the smaller sphere to the larger and the octahedron is the
+unique source.  The graph is grown breadth-first from the octahedron by
+flag-preserving vertex splits; completeness follows from every flag
 sphere's contraction path down to the octahedron, reversed.
 
 Splits that an automorphism of the parent maps onto each other give
 isomorphic children, hence the same arc, so each parent is split once per
 orbit of its splits (w, {a, b}) under its group: the first split of an
-orbit in :func:`flag_splits` order is made and the rest are skipped.  The
-group of each parent is :func:`canonical_automorphisms` of its own
-sphere, the canonical representative, computed when the parent is split:
-one search per parent next to one per child made.  The first split of
-each orbit is the one that met its class first, so nodes appear in the
-same order and carry the same arcs as with every split made.
+orbit in :func:`flag_splits` order is made and the rest are skipped.
+:func:`build` decodes each parent once, when it splits it; its group is
+:func:`canonical_automorphisms` of that canonical representative, one
+search per parent next to one per child made.  The first split of each
+orbit met its class first, so nodes and arcs are as with every split made.
 
 Two per-node degree bounds hold and are checked by verify_degree_bounds:
 in-degree is at most the number of belt-free edges (each in-arc consumes a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .canonical import (
     canonical_automorphisms,
     canonical_form,
-    canonical_sphere,
+    decode_form,
     encode_face_set,
     form_hex,
     sphere_from_form,
@@ -49,7 +49,11 @@ from .sphere import SimplicialSphere, from_faces, octahedron
 class HasseNode:
     form: bytes
     n: int
-    sphere: SimplicialSphere
+
+    @property
+    def sphere(self) -> SimplicialSphere:
+        """The canonical representative, decoded anew on each access."""
+        return sphere_from_form(self.form)
 
 
 @dataclass(frozen=True)
@@ -68,23 +72,22 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
     """All flag-sphere classes with 6 <= n <= max_n and their contraction arcs.
 
     Breadth-first from the octahedron, splitting each parent once per
-    orbit of its flag splits under the group of its own sphere.  Every
-    node's sphere is the canonical representative, so that group is the
-    parent's own and downstream exports are label-stable.
+    orbit of its flag splits under the group of its own sphere.  Nodes
+    hold canonical forms; each parent is decoded once, to its canonical
+    representative, when it is split, so that group is the parent's own.
     ``jobs`` is accepted for compatibility and has no effect: the work is
     pure Python, which threads cannot run in parallel.
     """
     if type(max_n) is not int or max_n < 6:
         raise BudgetTooSmall(f"need max_n >= 6, got {max_n!r}")
-    start = canonical_sphere(octahedron())
-    f0 = canonical_form(start)
-    nodes = {f0: HasseNode(f0, 6, start)}
+    f0 = canonical_form(octahedron())
+    nodes = {f0: HasseNode(f0, 6)}
     arcs = set()
     frontier = [f0]
     for n in range(6, max_n):
         nxt = []
         for parent in frontier:
-            K = nodes[parent].sphere
+            K = sphere_from_form(parent)
             group = canonical_automorphisms(K)
             seen = set()
             for spec in flag_splits(K):
@@ -97,7 +100,7 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
                 child = split_vertex(K, spec)
                 cf = canonical_form(child)
                 if cf not in nodes:
-                    nodes[cf] = HasseNode(cf, n + 1, sphere_from_form(cf))
+                    nodes[cf] = HasseNode(cf, n + 1)
                     nxt.append(cf)
                 arcs.add((parent, cf))
         frontier = nxt
@@ -142,8 +145,7 @@ def verify_degree_bounds(G: HasseGraph) -> BoundsReport:
     in_deg = Counter(dst for _, dst in G.arcs)
     out_deg = Counter(src for src, _ in G.arcs)
     entries = []
-    for form in sorted(G.nodes):
-        node = G.nodes[form]
+    for form, node in sorted(G.nodes.items()):
         K = node.sphere
         belt_free = K.n_edges - len(belt_covered_edges(K))
         bound = expansion_bound(K)
@@ -193,7 +195,7 @@ def export_json(G: HasseGraph) -> str:
             {
                 "form": form_hex(form),
                 "n": G.nodes[form].n,
-                "faces": [list(f) for f in G.nodes[form].sphere.faces],
+                "faces": [list(f) for f in decode_form(form)[1]],
             }
             for form in sorted(G.nodes)
         ],
@@ -251,7 +253,7 @@ def import_json(text: str) -> HasseGraph:
             raise FormatError(f"node {entry['form'][:12]} is listed twice")
         if not is_flag(sphere):
             raise FormatError(f"node {entry['form'][:12]} is not a flag sphere")
-        nodes[form] = HasseNode(form, sphere.n, sphere)
+        nodes[form] = HasseNode(form, sphere.n)
         by_hex[entry["form"]] = form
     arcs = set()
     for arc in obj.get("arcs", []):

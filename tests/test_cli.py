@@ -210,6 +210,13 @@ def test_hasse_json_to_stdout_pipes_into_import_json(capsys):
     assert fs.import_json(piped.out).level_counts() == {6: 1, 7: 1, 8: 2}
 
 
+def test_hasse_refuses_two_exports_to_stdout(capsys):
+    assert run(["hasse", "--max-n", "7", "--json", "-", "--tsv", "-"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert "stdout" in refused.err
+
+
 def test_hasse_budget_error(capsys):
     assert run(["hasse", "--max-n", "5"]) == 1
     assert capsys.readouterr().err.startswith("ERR BUDGET_TOO_SMALL:")

@@ -114,6 +114,26 @@ def test_json_round_trip(graph11):
     assert fs.export_json(back) == text
 
 
+def test_nodes_hold_forms_and_build_decodes_only_split_parents(monkeypatch, graph11):
+    import dataclasses
+
+    import flagsphere.hasse
+
+    assert [f.name for f in dataclasses.fields(fs.HasseNode)] == ["form", "n"]
+    for node in graph11.nodes.values():
+        assert node.sphere == fs.sphere_from_form(node.form)
+    decoded = []
+
+    def counting(form):
+        decoded.append(form)
+        return fs.sphere_from_form(form)
+
+    monkeypatch.setattr(flagsphere.hasse, "sphere_from_form", counting)
+    G = fs.build(12)
+    assert len(decoded) == 43 == sum(node.n < 12 for node in G.nodes.values())
+    assert sorted(decoded) == sorted(f for f, node in G.nodes.items() if node.n < 12)
+
+
 def test_import_rejects_tampering():
     import json
 
