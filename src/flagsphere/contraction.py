@@ -213,6 +213,11 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
     def fail(reason: str) -> CertificateCheck:
         return CertificateCheck(False, reason)
 
+    if cert.start.n < 6:
+        return fail(
+            f"start has {cert.start.n} vertices; a reduction to the octahedron"
+            " needs at least 6"
+        )
     if len(cert.steps) != cert.start.n - 6:
         return fail(
             f"expected {cert.start.n - 6} steps for {cert.start.n} vertices,"
@@ -259,10 +264,6 @@ _CERT_FORMAT = "contraction-certificate"
 _CERT_VERSION = 1
 
 
-def _sphere_obj(K: SimplicialSphere) -> dict:
-    return {"n": K.n, "faces": [list(f) for f in K.faces]}
-
-
 def _sphere_from_obj(obj, what: str) -> SimplicialSphere:
     if (
         not isinstance(obj, dict)
@@ -273,17 +274,36 @@ def _sphere_from_obj(obj, what: str) -> SimplicialSphere:
     return from_faces(obj["n"], obj["faces"])
 
 
+def _int_list(xs, pad: str) -> str:
+    """``xs`` as ``json.dumps(indent=2)`` writes an int list opened at ``pad``."""
+    if not xs:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(map(str, xs)) + f"\n{pad}]"
+
+
+def _sphere_json(K: SimplicialSphere) -> str:
+    faces = ",\n      ".join(_int_list(f, "      ") for f in K.faces)
+    return f'{{\n    "n": {K.n},\n    "faces": [\n      {faces}\n    ]\n  }}'
+
+
 def certificate_to_json(cert: ContractionCertificate) -> str:
-    obj = {
-        "format": _CERT_FORMAT,
-        "version": _CERT_VERSION,
-        "start": _sphere_obj(cert.start),
-        "steps": [
-            {"edge": list(s.edge), "relabel": list(s.relabel)} for s in cert.steps
-        ],
-        "end": _sphere_obj(cert.end),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The certificate as ``json.dumps(obj, indent=2) + "\\n"`` would write it.
+
+    The fixed layout is written directly, one join per int list, since
+    ``indent`` always selects the pure-Python encoder.
+    """
+    steps = "[]"
+    if cert.steps:
+        steps = "[\n    " + ",\n    ".join(
+            f'{{\n      "edge": {_int_list(s.edge, "      ")},'
+            f'\n      "relabel": {_int_list(s.relabel, "      ")}\n    }}'
+            for s in cert.steps
+        ) + "\n  ]"
+    return (
+        f'{{\n  "format": "{_CERT_FORMAT}",\n  "version": {_CERT_VERSION},'
+        f'\n  "start": {_sphere_json(cert.start)},\n  "steps": {steps},'
+        f'\n  "end": {_sphere_json(cert.end)}\n}}\n'
+    )
 
 
 def certificate_from_json(text: str) -> ContractionCertificate:

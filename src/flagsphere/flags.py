@@ -85,14 +85,25 @@ def belts(K: SimplicialSphere) -> tuple[Belt, ...]:
 
 
 def _belt_side(adj, u: int, v: int) -> bool:
-    """True iff the edge {u,v} is a side of a belt u-v-x-y.
+    """True iff the edge {u,v} is a side of a belt a-b-y-x.
 
-    x is a neighbor of v not adjacent to u (so {u,x} is a diagonal) and y
-    a neighbor of u not adjacent to v (so {v,y} is the other); the belt
-    exists iff some such x and y are adjacent.  Costs O(deg^2).
+    With a the end of lower degree and b the other, x is a neighbor of a
+    not adjacent to b (so {b,x} is a diagonal) and y a neighbor of b not
+    adjacent to a (so {a,y} is the other); the belt exists iff some such
+    x and y are adjacent.  The condition is symmetric in u and v.  The
+    cost is one membership test per neighbor y of each such x, so it is
+    bounded by the degrees of a and of a's neighbors; no set is built and
+    b's neighborhood, which the greedy reduction grows into a hub, is
+    only probed.
     """
-    ys = adj[u] - adj[v] - {v}
-    return any(not ys.isdisjoint(adj[x]) for x in adj[v] - adj[u] - {u})
+    a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
+    na, nb = adj[a], adj[b]
+    for x in na:
+        if x != b and x not in nb:
+            for y in adj[x]:
+                if y in nb and y != a and y not in na:
+                    return True
+    return False
 
 
 def _norm_edge(K: SimplicialSphere, e) -> tuple[int, int]:

@@ -91,13 +91,16 @@ def edge_belts(K: SimplicialSphere, u: int, v: int) -> set[Belt]:
     four triples) to the 4-sets {u, v, x, y} with x and y drawn from
     N(u) | N(v) only.  That is every candidate: {u, v} is an edge, so in
     an induced 4-cycle it is a side, and the other two cycle vertices
-    are each adjacent to u or to v.
+    are each adjacent to u or to v.  They form the opposite side, so a
+    pair x, y that is not an edge is skipped before the test.
     """
     if not K.has_edge(u, v):
         raise NotAnEdge(f"{{{u!r}, {v!r}}} is not an edge")
     adj = K.adjacency
     out = set()
     for x, y in combinations(sorted((adj[u] | adj[v]) - {u, v}), 2):
+        if y not in adj[x]:
+            continue
         quad = sorted((u, v, x, y))
         nbr = {p: [q for q in quad if q in adj[p]] for p in quad}
         # each vertex of degree 2 among the induced edges: exactly four

@@ -74,6 +74,25 @@ def random_sphere():
     return grow
 
 
+@pytest.fixture(scope="session")
+def random_flag_sphere():
+    """Grow a flag sphere from the octahedron by seeded link-diagonal splits."""
+
+    def grow(seed, target_n):
+        rng = random.Random(seed)
+        K = fs.octahedron()
+        while K.n < target_n:
+            w = rng.randrange(K.n)
+            cyc = K.link_cycle(w)
+            i, j = sorted(rng.sample(range(len(cyc)), 2))
+            if j - i in (1, len(cyc) - 1):  # adjacent junctions leave a degree-3 vertex
+                continue
+            K = fs.split_vertex(K, fs.SplitSpec(w, cyc[i], cyc[j]))
+        return K
+
+    return grow
+
+
 def _icosahedron_minus_face(a, b, c, first):
     """Icosahedron faces minus one, its boundary on a, b, c, new vertices from ``first``."""
     upper = [1 + i for i in range(5)]

@@ -37,6 +37,29 @@ def non_flag_spheres(random_sphere):
     return spheres
 
 
+@pytest.fixture(scope="module")
+def hub_states(random_flag_sphere):
+    """An n = 60 flag sphere, then the belt-free contraction of highest degree
+    sum, repeated until some edge's ends differ threefold in degree."""
+    K = random_flag_sphere(7, 60)
+    states = [K]
+    while degree_skew(K) < 3:
+        edge = max(
+            (e for e in K.edges if not fs.edge_in_belt(K, e)),
+            key=lambda e: K.degree(e[0]) + K.degree(e[1]),
+        )
+        K, _ = fs.contract_mapped(K, edge)
+        states.append(K)
+    return states
+
+
+def degree_skew(K):
+    return max(
+        max(K.degree(u), K.degree(v)) / min(K.degree(u), K.degree(v))
+        for u, v in K.edges
+    )
+
+
 def brute_sides(K):
     return {side for belt in fs.brute_belts(K) for side in belt.sides}
 
@@ -62,11 +85,14 @@ def test_belts_match_oracle(flag_spheres, non_flag_spheres):
         assert list(fs.belts(K)) == sorted(fs.brute_belts(K), key=lambda b: b.cycle)
 
 
-def test_belt_sides_match_oracle(flag_spheres, non_flag_spheres):
-    for K in flag_spheres + non_flag_spheres:
+def test_belt_sides_match_oracle(flag_spheres, non_flag_spheres, hub_states):
+    for K in flag_spheres + non_flag_spheres + hub_states:
         sides = brute_sides(K)
         assert fs.belt_covered_edges(K) == sides
         assert [fs.edge_in_belt(K, e) for e in K.edges] == [
+            e in sides for e in K.edges
+        ]
+        assert [fs.edge_in_belt(K, (v, u)) for u, v in K.edges] == [
             e in sides for e in K.edges
         ]
 
@@ -84,3 +110,4 @@ def test_verifier_predicates_match_oracle(flag_spheres, non_flag_spheres):
         for u, v in K.edges:
             want = {b for b in belts if {u, v} <= b.vertices}
             assert fs.edge_belts(K, u, v) == want == fs.edge_belts(K, v, u)
+

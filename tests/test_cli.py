@@ -122,6 +122,17 @@ def test_verify_cert_rejects_tampered(tri, s7, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERR CERT_INVALID:")
 
 
+def test_verify_cert_rejects_start_below_six_vertices(tetra, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    cert = fs.ContractionCertificate(tetra, (), tetra)
+    cert_path.write_text(fs.certificate_to_json(cert), encoding="utf-8")
+    assert run(["verify-cert", str(cert_path)]) == 1
+    assert capsys.readouterr().err == (
+        "ERR CERT_INVALID: start has 4 vertices;"
+        " a reduction to the octahedron needs at least 6\n"
+    )
+
+
 def test_verify_cert_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text("{", encoding="utf-8")

@@ -9,7 +9,6 @@ verifier gives the same verdict and reason as a replay that calls the
 brute predicates at every step.
 """
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -160,22 +159,8 @@ def test_non_int_edge_fails_without_raising(s7):
         assert (check.ok, check.reason) == (False, f"step 0: {{{edge[0]}, {edge[1]}}} is not an edge")
 
 
-def grow_flag_sphere(seed, n):
-    """A flag sphere grown from the octahedron by seeded link-diagonal splits."""
-    rng = random.Random(seed)
-    K = fs.octahedron()
-    while K.n < n:
-        w = rng.randrange(K.n)
-        cyc = K.link_cycle(w)
-        i, j = sorted(rng.sample(range(len(cyc)), 2))
-        if j - i in (1, len(cyc) - 1):  # adjacent junctions leave a degree-3 vertex
-            continue
-        K = fs.split_vertex(K, fs.SplitSpec(w, cyc[i], cyc[j]))
-    return K
-
-
-def test_verifier_scales_to_n100():
-    K = grow_flag_sphere(7, 100)
+def test_verifier_scales_to_n100(random_flag_sphere):
+    K = random_flag_sphere(7, 100)
     assert fs.is_flag(K) and fs.clique_is_flag(K)
     cert = fs.reduce_to_octahedron(K)
     assert fs.verify_certificate(cert).ok
