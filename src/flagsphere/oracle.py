@@ -3,12 +3,10 @@
 Everything here favors the most literal possible reading of each
 definition over speed, so the fast paths elsewhere in the package can be
 validated against it.  The only shared machinery is the core sphere type
-with its fully validating constructor, the Belt value container, and
-canonical forms where noted for deduplication above the size where
-pairwise bijection search stays cheap.  Vertex splits are written out
-here as face lists and every result is revalidated from scratch; belt
-search, flagness, and isomorphism are reimplemented from their
-definitions.
+with its fully validating constructor and the Belt value container.
+Vertex splits are written out here as face lists and every result is
+revalidated from scratch; belt search, flagness, and isomorphism are
+reimplemented from their definitions.
 
 ``brute_belts`` and ``brute_is_flag`` scan every vertex 4-set.  The
 certificate verifier calls two local readings of the same definitions
@@ -22,14 +20,10 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .canonical import canonical_form
 from .errors import BudgetTooLarge, BudgetTooSmall, NotAnEdge, TooLarge
 from .flags import Belt
 from .sphere import SimplicialSphere, from_faces, tetrahedron
 
-# Pairwise bijection search stays affordable through this vertex count;
-# beyond it enumerate_all_spheres switches to canonical-form dedup.
-_BRUTE_DEDUP_LIMIT = 8
 _ISO_LIMIT = 9
 _ENUMERATION_LIMIT = 11
 
@@ -221,34 +215,80 @@ def _all_splits(K: SimplicialSphere) -> list[SimplicialSphere]:
     return out
 
 
+def _extends(rot_a, rot_b, u: int, v: int, x: int, y: int) -> bool:
+    """Whether u -> x, v -> y extends, walking round each mapped vertex once,
+    to an injective map carrying every rotation of ``rot_a`` onto ``rot_b``."""
+    image = {u: x, v: y}
+    todo = [(u, v), (v, u)]
+    while todo:
+        a, p = todo.pop()
+        ra, rb = rot_a[a], rot_b[image[a]]
+        if len(ra) != len(rb):
+            return False
+        q = image[p]
+        for _ in range(len(ra) - 1):
+            p, q = ra[p], rb[q]
+            if p in image:
+                if image[p] != q:
+                    return False
+            else:
+                image[p] = q
+                todo.append((p, a))
+    return len(set(image.values())) == len(image)
+
+
+def _rotation_isomorphic(ways_a, rot_b) -> bool:
+    """Whether A, rotations ``ways_a`` (forward, reversed), is isomorphic to
+    B, forward rotations ``rot_b``, of the same vertex count.
+
+    An isomorphism of connected oriented spheres carries A's rotations onto
+    B's or their reverse, so it extends some edge x -> y of B with the
+    degrees of A's edge u -> v.
+    """
+    rot_a = ways_a[0]
+    u = min(range(len(rot_a)), key=lambda w: len(rot_a[w]))
+    v = next(iter(rot_a[u]))
+    du, dv = len(rot_a[u]), len(rot_a[v])
+    return any(
+        _extends(rot, rot_b, u, v, x, y)
+        for x in range(len(rot_b))
+        if len(rot_b[x]) == du
+        for y in rot_b[x]
+        if len(rot_b[y]) == dv
+        for rot in ways_a
+    )
+
+
 def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
     """One representative per isomorphism class of spheres with 4 <= n <= max_n.
 
     Grown level by level from the tetrahedron by unrestricted vertex
     splits; every triangulated 2-sphere on n >= 5 vertices has an edge
     whose contraction is again a sphere, so the reversed splits reach
-    every class.  Levels through n=8 deduplicate by pairwise bijection
-    search, larger levels by canonical form.  ``jobs`` is accepted for
-    compatibility and has no effect.
+    every class.  Candidates are bucketed by the sorted multiset of their
+    vertices' sorted neighbour degrees and compared within a bucket by
+    :func:`_rotation_isomorphic`.  ``jobs`` is accepted for compatibility
+    and has no effect.
     """
     if type(max_n) is not int or max_n < 4:
         raise BudgetTooSmall(f"need max_n >= 4, got {max_n!r}")
     if max_n > _ENUMERATION_LIMIT:
         raise BudgetTooLarge(f"enumeration capped at {_ENUMERATION_LIMIT}, got {max_n}")
     levels: list[list[SimplicialSphere]] = [[tetrahedron()]]
-    for n in range(5, max_n + 1):
+    for _ in range(5, max_n + 1):
         fresh: list[SimplicialSphere] = []
-        seen_forms: dict[bytes, None] = {}
+        buckets: dict[tuple, list] = {}
         for K in levels[-1]:
             for cand in _all_splits(K):
-                if n <= _BRUTE_DEDUP_LIMIT:
-                    if any(brute_isomorphic(cand, rep) for rep in fresh):
+                adj = cand.adjacency
+                key = tuple(sorted(tuple(sorted(len(adj[w]) for w in nbrs)) for nbrs in adj))
+                reps = buckets.setdefault(key, [])
+                rot = [cand.rotation(v) for v in range(cand.n)]
+                if reps:
+                    ways = (rot, [cand.rotation(v, True) for v in range(cand.n)])
+                    if any(_rotation_isomorphic(ways, rep) for rep in reps):
                         continue
-                    fresh.append(cand)
-                else:
-                    form = canonical_form(cand)
-                    if form not in seen_forms:
-                        seen_forms[form] = None
-                        fresh.append(cand)
+                reps.append(rot)
+                fresh.append(cand)
         levels.append(fresh)
     return [K for level in levels for K in level]
