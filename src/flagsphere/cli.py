@@ -57,9 +57,12 @@ _ERROR_CODES = {
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not valid UTF-8: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -38,10 +38,10 @@ def _spans_face(rot, a: int, b: int) -> bool:
     return rot.get(a) == b or rot.get(b) == a
 
 
-def _link_ok(nu, nv, rot_u, rot_v, u: int, v: int) -> bool:
-    """:func:`link_condition` from the neighbor sets and rotations of u and v."""
+def _link_ok(rot_u, rot_v, u: int, v: int) -> bool:
+    """:func:`link_condition` from the rotations of u and v."""
     p, q = rot_v[u], rot_u[v]
-    if nu & nv != {p, q}:
+    if rot_u.keys() & rot_v.keys() != {p, q}:
         return False
     return not (_spans_face(rot_u, p, q) and _spans_face(rot_v, p, q))
 
@@ -55,9 +55,7 @@ def link_condition(K: SimplicialSphere, e) -> bool:
     on the tetrahedron, whose contractions collapse).
     """
     u, v = _norm_edge(K, e)
-    return _link_ok(
-        K.neighbors(u), K.neighbors(v), K.rotation(u), K.rotation(v), u, v
-    )
+    return _link_ok(K.rotation(u), K.rotation(v), u, v)
 
 
 def contract_mapped(K: SimplicialSphere, e) -> tuple[SimplicialSphere, tuple[int, ...]]:
@@ -142,20 +140,19 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     them is an internal failure, not a caller error.
 
     The reduction contracts in place, in the input's labels: it keeps one
-    list of rotation maps and neighbor sets and changes, per step, only
-    those of the edge's ends, its two apexes and v's neighbors (see
-    :func:`~flagsphere.sphere._contract_rotations`), after checking the
-    link condition.  The merged vertex keeps the smaller label and
-    compaction preserves order, so a vertex's current label is its rank
-    among the surviving input labels; each step's edge and relabeling are
-    read off those ranks.  One sphere is built, at the end, and it is
-    recognised as the octahedron by its degrees: the only triangulated
-    2-sphere on 6 vertices with every degree 4.
+    list of rotation maps, read directly by the belt and link tests, and
+    changes, per step, only the maps of the edge's ends, its two apexes
+    and v's neighbors (see :func:`~flagsphere.sphere._contract_rotations`),
+    after checking the link condition.  The merged vertex keeps the
+    smaller label and compaction preserves order, so a vertex's current
+    label is its rank among the surviving input labels; each step's edge
+    and relabeling are read off those ranks.  One sphere is built, at the
+    end, and it is recognised as the octahedron by its degrees: the only
+    triangulated 2-sphere on 6 vertices with every degree 4.
     """
     if not is_flag(K):
         raise NotFlag(f"sphere on {K.n} vertices is not flag")
     succ = [dict(K.rotation(x)) for x in range(K.n)]
-    adj = [set(rot) for rot in succ]
     alive = list(range(K.n))
     steps = []
     while len(alive) > 6:
@@ -163,8 +160,8 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
             (
                 (i, u, v)
                 for i, u in enumerate(alive)
-                for v in sorted(w for w in adj[u] if w > u)
-                if not _belt_side(adj, u, v)
+                for v in sorted(w for w in succ[u] if w > u)
+                if not _belt_side(succ, u, v)
             ),
             None,
         )
@@ -173,15 +170,13 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
                 f"flag sphere on {len(alive)} vertices has every edge in a belt"
             )
         i, u, v = edge
-        if not _link_ok(adj[u], adj[v], succ[u], succ[v], u, v):
+        if not _link_ok(succ[u], succ[v], u, v):
             raise LinkConditionViolated(
                 f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
             )
         j = bisect_left(alive, v)
         steps.append(CertStep((i, j), (*range(j), i, *range(j, len(alive) - 1))))
         _contract_rotations(succ, u, v)
-        for x in succ[v]:
-            adj[x] = set(succ[x])
         del alive[j]
     rank = {x: i for i, x in enumerate(alive)}
     end = _from_rotation(

@@ -45,7 +45,7 @@ def split_vertex(K: SimplicialSphere, spec: SplitSpec) -> SimplicialSphere:
         raise BadSplitSpec("junction vertices must be distinct")
     cyc = K.link_cycle(spec.w)
     for v in (spec.a, spec.b):
-        if type(v) is not int or v not in K.neighbors(spec.w):
+        if type(v) is not int or v not in cyc:
             raise BadSplitSpec(f"{v!r} is not in the link of {spec.w}")
     i, j = sorted((cyc.index(spec.a), cyc.index(spec.b)))
     return _split(K, spec.w, cyc[i], cyc[j])

@@ -1,20 +1,20 @@
 """Validated triangulations of the 2-sphere and their .tri text format.
 
 A sphere is stored purely combinatorially: a vertex count ``n``, its
-triangles as sorted vertex triples, its edges, the neighbor set of each
-vertex and one rotation system, which maps each neighbor of a vertex to
-the next one around it in a single orientation shared by all vertices.
-Edge and face membership is read off the neighbor sets and the rotation;
-no separate set of edges or faces is kept.  Validation accepts exactly
-the complexes that triangulate S2: every edge in two triangles, every
-vertex link a single cycle, Euler characteristic 2, face-connected.
-Instances are immutable after construction and safe to share between
-threads; every operation in this package treats them as values.
+triangles as sorted vertex triples and one rotation system, which maps
+each neighbor of a vertex to the next one around it in a single
+orientation shared by all vertices.  Edges, neighbor sets, link cycles
+and edge and face membership are read off the rotation.  Validation
+accepts exactly the complexes that triangulate S2: every edge in two
+triangles, every vertex link a single cycle, Euler characteristic 2,
+face-connected.  Instances are immutable after construction and safe to
+share between threads; every operation in this package treats them as
+values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import KeysView, Mapping
 from types import MappingProxyType
 
 from .errors import BadVertex, FormatError, NotASphere
@@ -36,47 +36,35 @@ class SimplicialSphere:
     :func:`_contract_rotations`) and builds one sphere, the 6-vertex end,
     which it recognises as the octahedron by its degree sequence.
 
-    An instance stores its faces, its edges, the neighbor set of each
-    vertex and one rotation (see :meth:`rotation`), and nothing that
-    belongs to another module.  Link cycles, reversed rotations and edge
-    and face membership are derived from the neighbor sets and the
-    rotation on demand.
+    An instance stores its faces and one rotation (see :meth:`rotation`),
+    nothing else.  Edges, neighbor sets, link cycles, reversed rotations
+    and edge and face membership are read off the rotation on access.
 
     Equality and hashing compare the exact labeled face set; use
     :func:`flagsphere.canonical.isomorphic` for equality up to relabeling.
     """
 
-    __slots__ = (
-        "n",
-        "faces",
-        "_edges",
-        "_neighbors",
-        "_succ",
-        "_link_cache",
-    )
+    __slots__ = ("n", "faces", "_succ")
 
-    def __init__(
-        self, n: int, faces: tuple[Face, ...], edges, succ, _token: object = None
-    ):
+    def __init__(self, n: int, faces: tuple[Face, ...], succ, _token: object = None):
         if _token is not _INTERNAL:
             raise TypeError("use from_faces() to construct a SimplicialSphere")
         self.n = n
         self.faces = faces
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
-        self._neighbors: tuple[frozenset[int], ...] = tuple(map(frozenset, succ))
         self._succ: tuple[dict[int, int], ...] = tuple(succ)
-        self._link_cache: dict[int, tuple[int, ...]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted pairs, in lexicographic order."""
-        return self._edges
+        return tuple(
+            (x, y) for x, rot in enumerate(self._succ) for y in sorted(rot) if y > x
+        )
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._succ)) // 2
 
     @property
     def n_faces(self) -> int:
@@ -90,7 +78,7 @@ class SimplicialSphere:
         """
         if type(u) is not int or type(v) is not int:
             raise BadVertex(f"vertex {(v if type(u) is int else u)!r} is not an int")
-        return 0 <= u < self.n and v in self._neighbors[u]
+        return 0 <= u < self.n and v in self._succ[u]
 
     def has_face(self, face) -> bool:
         """True iff ``face`` lists the vertices of a face, in any order.
@@ -110,21 +98,22 @@ class SimplicialSphere:
         return rot.get(b) == c or rot.get(c) == b
 
     @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
+    def adjacency(self) -> tuple[KeysView[int], ...]:
         """Neighbor sets of all vertices, indexed by vertex: ``adjacency[v]``.
 
         The unchecked bulk form of :meth:`neighbors`, for loops that visit
-        many vertices.
+        many vertices.  Each entry is the read-only key view of a rotation
+        map, set-like: ``in``, ``len``, ``&``, ``|`` and ``-`` work.
         """
-        return self._neighbors
+        return tuple(rot.keys() for rot in self._succ)
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self._neighbors[v]
+        return frozenset(self._succ[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._neighbors[v])
+        return len(self._succ[v])
 
     def link_cycle(self, v: int) -> tuple[int, ...]:
         """Neighbors of ``v`` in cyclic order around ``v``.
@@ -135,9 +124,6 @@ class SimplicialSphere:
         up to rotation and reflection.
         """
         self._check_vertex(v)
-        cached = self._link_cache.get(v)
-        if cached is not None:
-            return cached
         succ = self._succ[v]
         start = min(succ)
         cycle = [start]
@@ -147,9 +133,7 @@ class SimplicialSphere:
             cur = succ[cur]
         if cycle[1] > cycle[-1]:
             cycle[1:] = cycle[:0:-1]
-        out = tuple(cycle)
-        self._link_cache[v] = out
-        return out
+        return tuple(cycle)
 
     def rotation(self, v: int, reverse: bool = False) -> Mapping[int, int]:
         """Successor map of the (arbitrarily oriented) rotation around ``v``.
@@ -169,8 +153,8 @@ class SimplicialSphere:
         Equivalently the number of k-gon facets of the dual simple polytope.
         """
         counts: dict[int, int] = {}
-        for nbrs in self._neighbors:
-            counts[len(nbrs)] = counts.get(len(nbrs), 0) + 1
+        for rot in self._succ:
+            counts[len(rot)] = counts.get(len(rot), 0) + 1
         return dict(sorted(counts.items()))
 
     def _check_vertex(self, v: int) -> None:
@@ -299,7 +283,7 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     if unreached:
         raise NotASphere("disconnected", f"face graph has {unreached} unreachable faces")
 
-    return SimplicialSphere(n, face_tuple, edge_faces, succ, _token=_INTERNAL)
+    return SimplicialSphere(n, face_tuple, succ, _token=_INTERNAL)
 
 
 def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:
@@ -310,14 +294,13 @@ def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:
     Each face is read once, at its smallest vertex.  The maps are stored,
     not copied, so they may be shared with the sphere they came from.
     """
-    edges = [(x, y) for x, rot in enumerate(succ) for y in rot if y > x]
     faces = sorted(
         (x, y, z) if y < z else (x, z, y)
         for x, rot in enumerate(succ)
         for y, z in rot.items()
         if y > x and z > x
     )
-    return SimplicialSphere(n, tuple(faces), edges, succ, _token=_INTERNAL)
+    return SimplicialSphere(n, tuple(faces), succ, _token=_INTERNAL)
 
 
 def _contract_rotations(succ: list[dict[int, int]], u: int, v: int) -> None:

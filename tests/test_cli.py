@@ -266,3 +266,19 @@ def test_python_dash_m_runs_cli(tri, octa):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (out.returncode, out.stdout, out.stderr) == (0, "V=6 E=12 F=8\n", "")
+
+
+@pytest.mark.parametrize("command", ["validate", "verify-cert"])
+def test_non_utf8_input_is_a_format_error(tmp_path, capsys, monkeypatch, command):
+    raw = b"\xff\xfe6\n0 1 2\n"
+    bad = tmp_path / "bad.tri"
+    bad.write_bytes(raw)
+    assert run([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERR FORMAT:") and err.count("\n") == 1
+    # stdin decoded strictly, as under a UTF-8 locale
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run([command, "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERR FORMAT:") and err.count("\n") == 1

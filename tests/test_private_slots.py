@@ -44,3 +44,7 @@ def test_no_other_module_touches_private_slots():
         for line, name in private_slot_uses(path)
     ]
     assert uses == []
+
+
+def test_sphere_stores_faces_and_rotation_only():
+    assert fs.SimplicialSphere.__slots__ == ("n", "faces", "_succ")

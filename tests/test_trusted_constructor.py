@@ -98,6 +98,21 @@ def test_rotation_is_read_only(s7):
         ]
 
 
+def test_adjacency_is_read_only(s7):
+    mutators = ("add", "discard", "remove", "pop", "clear", "update", "__setitem__")
+    for K in (fs.octahedron(), s7, fs.contract(s7, (0, 6))):
+        before = [dict(K.rotation(v)) for v in range(K.n)]
+        for nbrs in K.adjacency:
+            assert not any(hasattr(nbrs, name) for name in mutators)
+            key = next(iter(nbrs))
+            with pytest.raises(TypeError):  # the view's map is read-only too
+                nbrs.mapping[key] = key
+            nbrs |= {K.n}
+            nbrs -= {key}
+        assert [dict(K.rotation(v)) for v in range(K.n)] == before
+        assert all(K.adjacency[v] == K.neighbors(v) for v in range(K.n))
+
+
 def test_oracle_and_verifier_do_not_use_trusted_path(monkeypatch, s7):
     cert = fs.reduce_to_octahedron(s7)
 
