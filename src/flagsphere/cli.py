@@ -21,40 +21,12 @@ from .contraction import (
     reduce_to_octahedron,
     verify_certificate,
 )
-from .errors import (
-    BadSplitSpec,
-    BadVertex,
-    BudgetTooLarge,
-    BudgetTooSmall,
-    FlagsphereError,
-    FormatError,
-    InternalMinimalityViolation,
-    LinkConditionViolated,
-    NotAnEdge,
-    NotASphere,
-    NotFlag,
-    TooLarge,
-)
+from .errors import FlagsphereError, FormatError
 from .expansion import expansion_bound, flag_splits, split_vertex
 from .flags import belt_covered_edges, belts, is_flag, missing_triangles
 from .hasse import build, export_dot, export_json, export_levels_tsv, verify_degree_bounds
 from .oracle import enumerate_all_spheres
 from .sphere import SimplicialSphere, dump_corpus, dump_tri, parse_tri
-
-_ERROR_CODES = {
-    NotASphere: "NOT_A_SPHERE",
-    FormatError: "FORMAT",
-    NotAnEdge: "NOT_AN_EDGE",
-    BadVertex: "BAD_VERTEX",
-    NotFlag: "NOT_FLAG",
-    LinkConditionViolated: "LINK_CONDITION",
-    BadSplitSpec: "BAD_SPLIT",
-    BudgetTooSmall: "BUDGET_TOO_SMALL",
-    BudgetTooLarge: "BUDGET_TOO_LARGE",
-    TooLarge: "TOO_LARGE",
-    InternalMinimalityViolation: "MINIMALITY",
-}
-
 
 def _read_text(path: str) -> str:
     try:
@@ -260,8 +232,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except FlagsphereError as exc:
-        code = _ERROR_CODES.get(type(exc), "ERROR")
-        print(f"ERR {code}: {exc}", file=sys.stderr)
+        print(f"ERR {exc.code}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ERR IO: {exc}", file=sys.stderr)

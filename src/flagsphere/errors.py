@@ -2,7 +2,12 @@
 
 
 class FlagsphereError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``code`` is the ``<CODE>`` of the CLI's ``ERR <CODE>: <detail>`` line.
+    """
+
+    code = "ERROR"
 
 
 class NotASphere(FlagsphereError):
@@ -13,6 +18,8 @@ class NotASphere(FlagsphereError):
     ``disconnected``.
     """
 
+    code = "NOT_A_SPHERE"
+
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         self.detail = detail
@@ -22,33 +29,49 @@ class NotASphere(FlagsphereError):
 class BadVertex(FlagsphereError):
     """Vertex argument that is not an int in range for the sphere."""
 
+    code = "BAD_VERTEX"
+
 
 class NotAnEdge(FlagsphereError):
     """Vertex pair is not an edge of the sphere."""
+
+    code = "NOT_AN_EDGE"
 
 
 class NotFlag(FlagsphereError):
     """Operation requires a flag sphere."""
 
+    code = "NOT_FLAG"
+
 
 class LinkConditionViolated(FlagsphereError):
     """Contracting this edge would not yield a simplicial sphere."""
+
+    code = "LINK_CONDITION"
 
 
 class BadSplitSpec(FlagsphereError):
     """Vertex-split specification is inconsistent with the sphere."""
 
+    code = "BAD_SPLIT"
+
 
 class BudgetTooSmall(FlagsphereError):
     """Vertex budget below the smallest admissible value."""
+
+    code = "BUDGET_TOO_SMALL"
 
 
 class BudgetTooLarge(FlagsphereError):
     """Vertex budget exceeds the brute-force guard."""
 
+    code = "BUDGET_TOO_LARGE"
+
 
 class TooLarge(FlagsphereError):
     """Instance exceeds the factorial guard of a brute-force routine."""
+
+    code = "TOO_LARGE"
 
 
 class InternalMinimalityViolation(FlagsphereError):
@@ -59,6 +82,10 @@ class InternalMinimalityViolation(FlagsphereError):
     instead of looping.
     """
 
+    code = "MINIMALITY"
+
 
 class FormatError(FlagsphereError):
     """Malformed .tri text, corpus dump, certificate JSON, or graph JSON."""
+
+    code = "FORMAT"

@@ -28,33 +28,31 @@ _ISO_LIMIT = 9
 _ENUMERATION_LIMIT = 11
 
 
+def _belt_on(K: SimplicialSphere, adj, quad) -> Belt | None:
+    """The belt on the sorted 4-set ``quad``, or None: the literal 4-set test.
+
+    Each vertex has exactly two neighbors in ``quad``, so it induces
+    exactly four edges, a 4-cycle, and no face lies among the four triples.
+    """
+    nbr = {}
+    for p in quad:
+        ns = nbr[p] = [q for q in quad if q in adj[p]]
+        if len(ns) != 2:
+            return None
+    if any(K.has_face(t) for t in combinations(quad, 3)):
+        return None
+    # quad[0] is the smallest vertex; walk toward its smaller neighbor
+    a = quad[0]
+    b, d = nbr[a]
+    c = nbr[b][1] if nbr[b][0] == a else nbr[b][0]
+    return Belt((a, b, c, d))
+
+
 def brute_belts(K: SimplicialSphere) -> set[Belt]:
     """Every 4-subset inducing exactly a chord-free, face-free 4-cycle."""
-    out = set()
-    for quad in combinations(range(K.n), 4):
-        induced = [p for p in combinations(quad, 2) if K.has_edge(*p)]
-        if len(induced) != 4:
-            continue
-        deg = {v: 0 for v in quad}
-        for u, v in induced:
-            deg[u] += 1
-            deg[v] += 1
-        if any(d != 2 for d in deg.values()):
-            continue
-        if any(K.has_face(t) for t in combinations(quad, 3)):
-            continue
-        # walk the 4-cycle from its smallest vertex toward its smaller
-        # neighbor; quad is sorted, so quad[0] is that vertex
-        nbr = {v: [] for v in quad}
-        for u, v in induced:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        a = quad[0]
-        b = min(nbr[a])
-        c = nbr[b][1] if nbr[b][0] == a else nbr[b][0]
-        d = max(nbr[a])
-        out.add(Belt((a, b, c, d)))
-    return out
+    adj = K.adjacency
+    found = (_belt_on(K, adj, quad) for quad in combinations(range(K.n), 4))
+    return {belt for belt in found if belt is not None}
 
 
 def brute_is_flag(K: SimplicialSphere) -> bool:
@@ -80,34 +78,19 @@ def brute_is_flag(K: SimplicialSphere) -> bool:
 def edge_belts(K: SimplicialSphere, u: int, v: int) -> set[Belt]:
     """The belts containing both ends of the edge {u, v}, found locally.
 
-    Applies the literal 4-set test of :func:`brute_belts` (exactly four
-    induced edges, each vertex of degree 2 among them, no face among the
-    four triples) to the 4-sets {u, v, x, y} with x and y drawn from
-    N(u) | N(v) only.  That is every candidate: {u, v} is an edge, so in
-    an induced 4-cycle it is a side, and the other two cycle vertices
-    are each adjacent to u or to v.  They form the opposite side, so a
-    pair x, y that is not an edge is skipped before the test.
+    Applies the literal 4-set test of :func:`brute_belts` to the 4-sets
+    {u, v, x, y} with x and y drawn from N(u) | N(v) only.  That is every
+    candidate: {u, v} is an edge, so in an induced 4-cycle it is a side,
+    and the other two cycle vertices are each adjacent to u or to v.
+    They form the opposite side, so a pair x, y that is not an edge is
+    skipped before the test.
     """
     if not K.has_edge(u, v):
         raise NotAnEdge(f"{{{u!r}, {v!r}}} is not an edge")
     adj = K.adjacency
-    out = set()
-    for x, y in combinations(sorted((adj[u] | adj[v]) - {u, v}), 2):
-        if y not in adj[x]:
-            continue
-        quad = sorted((u, v, x, y))
-        nbr = {p: [q for q in quad if q in adj[p]] for p in quad}
-        # each vertex of degree 2 among the induced edges: exactly four
-        if any(len(ns) != 2 for ns in nbr.values()):
-            continue
-        if any(K.has_face(t) for t in combinations(quad, 3)):
-            continue
-        # quad[0] is the smallest vertex; walk toward its smaller neighbor
-        a = quad[0]
-        b, d = nbr[a]
-        c = nbr[b][1] if nbr[b][0] == a else nbr[b][0]
-        out.add(Belt((a, b, c, d)))
-    return out
+    pairs = combinations(sorted((adj[u] | adj[v]) - {u, v}), 2)
+    found = (_belt_on(K, adj, sorted((u, v, x, y))) for x, y in pairs if y in adj[x])
+    return {belt for belt in found if belt is not None}
 
 
 def clique_is_flag(K: SimplicialSphere) -> bool:

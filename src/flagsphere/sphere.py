@@ -7,9 +7,10 @@ orientation shared by all vertices.  Edges, neighbor sets, link cycles
 and edge and face membership are read off the rotation.  Validation
 accepts exactly the complexes that triangulate S2: every edge in two
 triangles, every vertex link a single cycle, Euler characteristic 2,
-face-connected.  Instances are immutable after construction and safe to
-share between threads; every operation in this package treats them as
-values.
+face-connected.  One walk round each vertex both checks its link and
+writes its rotation.  Instances are immutable after construction and
+safe to share between threads; every operation in this package treats
+them as values.
 """
 
 from __future__ import annotations
@@ -183,8 +184,11 @@ def from_faces(n: int, faces) -> SimplicialSphere:
 
     Faces may be given in any order and any within-face order; they are
     stored as sorted triples in sorted order.  Raises :class:`NotASphere`
-    with a reason code when any invariant fails, including a vertex count
-    that is not a non-negative ``int``.
+    with the reason code of the first check that fails, in this order:
+    ``bad-index`` (including a vertex count that is not a non-negative
+    ``int``), ``duplicate-face``, ``edge-degree``, ``link-not-cycle`` (the
+    least such vertex), ``euler-fail``, ``disconnected``.  Face 0 is
+    oriented as sorted.
     """
     if type(n) is not int or n < 0:
         raise NotASphere("bad-index", f"vertex count {n!r} is not a non-negative int")
@@ -216,74 +220,74 @@ def from_faces(n: int, faces) -> SimplicialSphere:
         tail = f" and {more} more" if more > 0 else ""
         raise NotASphere("bad-index", f"vertices {missing}{tail} occur in no face")
 
-    # Incidence: the faces at each edge, and the number and one of the
-    # faces at each vertex.
+    # Incidence: the far vertices of the faces at each edge, and the number
+    # and one of the faces at each vertex.
     face_tuple = tuple(norm)
-    edge_faces: dict[tuple[int, int], list[int]] = {}
+    apex: dict[tuple[int, int], list[int]] = {}
     count = [0] * n
     at = [0] * n
     for i, (a, b, c) in enumerate(face_tuple):
-        edge_faces.setdefault((a, b), []).append(i)
-        edge_faces.setdefault((a, c), []).append(i)
-        edge_faces.setdefault((b, c), []).append(i)
+        apex.setdefault((a, b), []).append(c)
+        apex.setdefault((a, c), []).append(b)
+        apex.setdefault((b, c), []).append(a)
         count[a] += 1
         count[b] += 1
         count[c] += 1
         at[a] = at[b] = at[c] = i
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
+    for e, far in apex.items():
+        if len(far) != 2:
             raise NotASphere(
-                "edge-degree", f"edge {set(e)} lies in {len(fs)} faces (expected 2)"
+                "edge-degree", f"edge {set(e)} lies in {len(far)} faces (expected 2)"
             )
 
-    # Links: go round each vertex from face to face across its edges; the
-    # link is a single cycle iff the round meets every face at the vertex.
+    # Orient face 0 = (a, b, c) as sorted, b -> c round a, and walk round
+    # every vertex reached from it: if v -> x -> y is a face, then y -> v
+    # round x.  A walk yields the whole rotation iff the link is one cycle.
+    succ: list = [None] * n
+    stack = []
+    if face_tuple:
+        a, b, c = face_tuple[0]
+        succ[a] = _link_walk(apex, a, b, c)
+        stack.append(a)
+    while stack:
+        v = stack.pop()
+        for x, y in succ[v].items():
+            if succ[x] is None:
+                succ[x] = _link_walk(apex, x, y, v)
+                stack.append(x)
     for v in range(n):
-        first = i = at[v]
-        _, b, c = face_tuple[i]
-        cur = c if c != v else b
-        seen = 1
-        while True:
-            fa, fb = edge_faces[(v, cur) if v < cur else (cur, v)]
-            i = fb if fa == i else fa
-            if i == first:
-                break
-            cur = sum(face_tuple[i]) - v - cur
-            seen += 1
-        if seen != count[v]:
+        rot = succ[v]
+        if rot is None:  # not reached: walked again, unoriented, for the check
+            rot = _link_walk(apex, v, *(w for w in face_tuple[at[v]] if w != v))
+        if len(rot) != count[v]:
             raise NotASphere(
                 "link-not-cycle", f"link of vertex {v} is not a single cycle"
             )
 
-    V, E, F = n, len(edge_faces), len(face_tuple)
+    V, E, F = n, len(apex), len(face_tuple)
     if V - E + F != 2:
         raise NotASphere("euler-fail", f"V-E+F = {V}-{E}+{F} = {V - E + F} != 2")
-
-    # Orient face 0 as sorted and every face reached from it against its
-    # neighbor across the shared edge, recording the rotation at each
-    # vertex.  A connected surface with Euler characteristic 2 is a sphere,
-    # hence orientable, so the result is consistent once all faces are met.
-    succ: list[dict[int, int]] = [{} for _ in range(n)]
-    a, b, c = face_tuple[0]
-    succ[a][b], succ[b][c], succ[c][a] = c, a, b
-    reached = bytearray(F)
-    reached[0] = 1
-    stack = [(0, a, b, c)]
-    while stack:
-        i, x, y, z = stack.pop()
-        for u, v in ((x, y), (y, z), (z, x)):
-            fa, fb = edge_faces[(u, v) if u < v else (v, u)]
-            j = fb if fa == i else fa
-            if not reached[j]:
-                reached[j] = 1
-                w = sum(face_tuple[j]) - u - v
-                succ[v][u], succ[u][w], succ[w][v] = w, v, u
-                stack.append((j, v, u, w))
-    unreached = F - sum(reached)
+    # Every link is one cycle, so a face at a reached vertex is reached; a
+    # connected surface with V-E+F = 2 is an orientable sphere.
+    unreached = sum(count[v] for v in range(n) if succ[v] is None) // 3
     if unreached:
         raise NotASphere("disconnected", f"face graph has {unreached} unreachable faces")
 
     return SimplicialSphere(n, face_tuple, succ, _token=_INTERNAL)
+
+
+def _link_walk(apex, v: int, x: int, y: int) -> dict[int, int]:
+    """The rotation round ``v`` that maps ``x`` to ``y``, walked along v's link.
+
+    ``apex`` maps each edge to the far vertices of its two faces.  The walk
+    stops where it closes, so it covers only the link cycle through ``x``.
+    """
+    rot = {}
+    while x not in rot:
+        rot[x] = y
+        p, q = apex[(v, y) if v < y else (y, v)]
+        x, y = y, (q if p == x else p)
+    return rot
 
 
 def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import flagsphere as fs
+from flagsphere import cli
 from flagsphere.cli import run
 
 
@@ -282,3 +283,39 @@ def test_non_utf8_input_is_a_format_error(tmp_path, capsys, monkeypatch, command
     assert run([command, "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ERR FORMAT:") and err.count("\n") == 1
+
+
+
+def test_each_error_class_names_its_cli_code(capsys, monkeypatch):
+    codes = {
+        "FlagsphereError": "ERROR",
+        "NotASphere": "NOT_A_SPHERE",
+        "FormatError": "FORMAT",
+        "NotAnEdge": "NOT_AN_EDGE",
+        "BadVertex": "BAD_VERTEX",
+        "NotFlag": "NOT_FLAG",
+        "LinkConditionViolated": "LINK_CONDITION",
+        "BadSplitSpec": "BAD_SPLIT",
+        "BudgetTooSmall": "BUDGET_TOO_SMALL",
+        "BudgetTooLarge": "BUDGET_TOO_LARGE",
+        "TooLarge": "TOO_LARGE",
+        "InternalMinimalityViolation": "MINIMALITY",
+    }
+    exported = {
+        name
+        for name in fs.__all__
+        if isinstance(getattr(fs, name), type)
+        and issubclass(getattr(fs, name), fs.FlagsphereError)
+    }
+    assert exported == set(codes)
+    for name, code in codes.items():
+        cls = getattr(fs, name)
+        assert cls.code == code
+        exc = cls("edge-degree", "detail") if cls is fs.NotASphere else cls("detail")
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "enumerate_all_spheres", fail)
+        assert run(["enumerate", "--max-n", "5"]) == 1
+        assert capsys.readouterr().err == f"ERR {code}: {exc}\n"

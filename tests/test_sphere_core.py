@@ -186,6 +186,42 @@ def test_rejects_disjoint_union():
     assert exc.value.reason == "disconnected"
 
 
+
+TETRA_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def test_link_check_precedes_connectivity():
+    # a tetrahedron glued to torus vertex 0 and another to torus vertex 1:
+    # V-E+F = 13-33+22 = 2, so the pinched links are the only local defect
+    faces = list(TORUS_FACES)
+    faces += [tuple(0 if v == 0 else v + 6 for v in f) for f in TETRA_FACES]
+    faces += [tuple(1 if v == 0 else v + 9 for v in f) for f in TETRA_FACES]
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(13, faces)
+    assert str(exc.value) == "link-not-cycle: link of vertex 0 is not a single cycle"
+
+
+def test_link_check_covers_vertices_unreached_from_face_0():
+    # a tetrahedron on 0..3 and, apart from it, two tetrahedra pinched at 4
+    faces = list(TETRA_FACES)
+    faces += [tuple(4 if v == 0 else v + 4 for v in f) for f in TETRA_FACES]
+    faces += [tuple(4 if v == 0 else v + 7 for v in f) for f in TETRA_FACES]
+    with pytest.raises(fs.NotASphere) as exc:
+        fs.from_faces(11, faces)
+    assert str(exc.value) == "link-not-cycle: link of vertex 4 is not a single cycle"
+
+
+def test_from_faces_orients_face_0_as_sorted(corpus9, random_sphere):
+    grown = [random_sphere(seed, n) for seed, n in ((1, 12), (2, 30), (3, 60))]
+    for K in corpus9 + grown:
+        K = fs.from_faces(K.n, K.faces)
+        a, b, c = K.faces[0]
+        assert K.rotation(a)[b] == c
+        succ = [K.rotation(v) for v in range(K.n)]
+        for x in range(K.n):
+            for y, z in succ[x].items():
+                assert succ[y][z] == x
+
 def test_bad_vertex_accessors(octa):
     with pytest.raises(fs.BadVertex):
         octa.link_cycle(6)
