@@ -73,7 +73,8 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
 
     Breadth-first from the octahedron, splitting each parent once per
     orbit of its flag splits under the group of its own sphere.  Nodes
-    hold canonical forms; each parent is decoded once, to its canonical
+    hold canonical forms and arcs hold the very form objects keyed in
+    ``nodes``; each parent is decoded once, to its canonical
     representative, when it is split, so that group is the parent's own.
     ``jobs`` is accepted for compatibility and has no effect: the work is
     pure Python, which threads cannot run in parallel.
@@ -83,10 +84,8 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
     f0 = canonical_form(octahedron())
     nodes = {f0: HasseNode(f0, 6)}
     arcs = set()
-    frontier = [f0]
     for n in range(6, max_n):
-        nxt = []
-        for parent in frontier:
+        for parent in [f for f, node in nodes.items() if node.n == n]:
             K = sphere_from_form(parent)
             group = canonical_automorphisms(K)
             seen = set()
@@ -101,9 +100,7 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
                 cf = canonical_form(child)
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1)
-                    nxt.append(cf)
-                arcs.add((parent, cf))
-        frontier = nxt
+                arcs.add((parent, nodes[cf].form))
     return HasseGraph(max_n, nodes, frozenset(arcs))
 
 

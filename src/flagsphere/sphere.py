@@ -198,8 +198,9 @@ def from_faces(n: int, faces) -> SimplicialSphere:
             raw = tuple(f)
         except TypeError:
             raise NotASphere("bad-index", f"face {f!r} is not a vertex triple") from None
-        if not all(type(v) is int for v in raw):
-            raise NotASphere("bad-index", f"face {raw!r} has a non-integer vertex")
+        if len(raw) != 3 or not (type(raw[0]) is type(raw[1]) is type(raw[2]) is int):
+            if not all(type(v) is int for v in raw):
+                raise NotASphere("bad-index", f"face {raw!r} has a non-integer vertex")
         t = tuple(sorted(raw))
         if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
             raise NotASphere("bad-index", f"face {raw!r} is not 3 distinct vertices")
@@ -222,11 +223,10 @@ def from_faces(n: int, faces) -> SimplicialSphere:
 
     # Incidence: the far vertices of the faces at each edge, and the number
     # and one of the faces at each vertex.
-    face_tuple = tuple(norm)
     apex: dict[tuple[int, int], list[int]] = {}
     count = [0] * n
     at = [0] * n
-    for i, (a, b, c) in enumerate(face_tuple):
+    for i, (a, b, c) in enumerate(norm):
         apex.setdefault((a, b), []).append(c)
         apex.setdefault((a, c), []).append(b)
         apex.setdefault((b, c), []).append(a)
@@ -245,8 +245,8 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     # round x.  A walk yields the whole rotation iff the link is one cycle.
     succ: list = [None] * n
     stack = []
-    if face_tuple:
-        a, b, c = face_tuple[0]
+    if norm:
+        a, b, c = norm[0]
         succ[a] = _link_walk(apex, a, b, c)
         stack.append(a)
     while stack:
@@ -258,13 +258,13 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     for v in range(n):
         rot = succ[v]
         if rot is None:  # not reached: walked again, unoriented, for the check
-            rot = _link_walk(apex, v, *(w for w in face_tuple[at[v]] if w != v))
+            rot = _link_walk(apex, v, *(w for w in norm[at[v]] if w != v))
         if len(rot) != count[v]:
             raise NotASphere(
                 "link-not-cycle", f"link of vertex {v} is not a single cycle"
             )
 
-    V, E, F = n, len(apex), len(face_tuple)
+    V, E, F = n, len(apex), len(norm)
     if V - E + F != 2:
         raise NotASphere("euler-fail", f"V-E+F = {V}-{E}+{F} = {V - E + F} != 2")
     # Every link is one cycle, so a face at a reached vertex is reached; a
@@ -273,7 +273,7 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     if unreached:
         raise NotASphere("disconnected", f"face graph has {unreached} unreachable faces")
 
-    return SimplicialSphere(n, face_tuple, succ, _token=_INTERNAL)
+    return SimplicialSphere(n, tuple(norm), succ, _token=_INTERNAL)
 
 
 def _link_walk(apex, v: int, x: int, y: int) -> dict[int, int]:
@@ -468,6 +468,6 @@ def dump_corpus(spheres) -> str:
 
 
 def parse_corpus(text: str) -> list[SimplicialSphere]:
-    """Parse a corpus dump produced by :func:`dump_corpus`."""
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    return [parse_tri(b) for b in blocks]
+    """Parse .tri blocks separated by lines that are blank after stripping."""
+    text = "\n".join(line.strip() for line in text.splitlines())
+    return [parse_tri(b) for b in text.split("\n\n") if b.strip()]

@@ -134,6 +134,13 @@ def test_nodes_hold_forms_and_build_decodes_only_split_parents(monkeypatch, grap
     assert sorted(decoded) == sorted(f for f, node in G.nodes.items() if node.n < 12)
 
 
+def test_arcs_hold_the_node_table_forms(graph11):
+    # one bytes object per class: every arc end is a key of G.nodes itself
+    for G in (graph11, fs.import_json(fs.export_json(graph11))):
+        keys = {id(f) for f in G.nodes}
+        assert all(id(tail) in keys and id(head) in keys for tail, head in G.arcs)
+
+
 def test_import_rejects_tampering():
     import json
 

@@ -286,6 +286,18 @@ def test_corpus_round_trip(octa, s7, tetra):
     assert fs.parse_corpus(text) == spheres
 
 
+def test_corpus_separators_may_carry_whitespace_and_crlf(octa, s7, tetra):
+    spheres = [tetra, octa, s7]
+    text = fs.dump_corpus(spheres)
+    for variant in (
+        text.replace("\n", "\r\n"),
+        text.replace("\n\n", "\n \n"),
+        text.replace("\n\n", "\n\t\n"),
+        text.replace("\n\n", "\n \t\n\n"),
+    ):
+        assert fs.parse_corpus(variant) == spheres
+
+
 def test_equality_and_hash(octa, s7):
     again = fs.from_faces(6, list(octa.faces))
     assert again == octa
