@@ -22,7 +22,14 @@ from .errors import (
     NotFlag,
 )
 from .flags import _belt_side, _norm_edge, belt_covered_edges, edge_in_belt, is_flag
-from .oracle import brute_is_flag, brute_isomorphic, clique_is_flag, edge_belts
+from .oracle import (
+    ReplayState,
+    brute_is_flag,
+    brute_isomorphic,
+    clique_is_flag,
+    clique_is_flag_at,
+    edge_belts,
+)
 from .sphere import (
     SimplicialSphere,
     _contract_rotations,
@@ -194,15 +201,18 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
 
     Checks the step count, flagness and belt-freeness at every step, the
     recorded relabelings, exact equality of the replayed end, and that the
-    end is the octahedron.  Flagness is tested by listing the cliques of
-    each step's edge graph (:func:`clique_is_flag`), and belts only on the
-    4-sets through the contracted edge (:func:`edge_belts`); both read the
-    definitions literally and share no code with :mod:`flags`.  Each
-    step's sphere is rebuilt from its relabeled face list and fully
-    revalidated, so the replay shares no code with :func:`contract_mapped`.
-    The 6-vertex end is checked by :func:`brute_is_flag` and
-    :func:`brute_isomorphic`.  Never raises on bad certificates; the
-    verdict carries the first failure.
+    end is the octahedron.  The start's flagness is tested by listing the
+    cliques of its edge graph (:func:`clique_is_flag`); after each step
+    only the cliques through the merged vertex are new, and only those are
+    listed (:func:`clique_is_flag_at`).  Belts are tested only on the
+    4-sets through the contracted edge (:func:`edge_belts`).  These read
+    the definitions literally and share no code with :mod:`flags`.  The
+    replay contracts a :class:`ReplayState` in place, in the start's
+    labels, and checks the sphere conditions at the vertices each step
+    touches, so it shares no code with :func:`contract_mapped`; the
+    recorded relabeling must be the rank compaction.  The 6-vertex end is
+    checked by :func:`brute_is_flag` and :func:`brute_isomorphic`.  Never
+    raises on bad certificates; the verdict carries the first failure.
     """
 
     def fail(reason: str) -> CertificateCheck:
@@ -218,42 +228,51 @@ def verify_certificate(cert: ContractionCertificate) -> CertificateCheck:
             f"expected {cert.start.n - 6} steps for {cert.start.n} vertices,"
             f" certificate has {len(cert.steps)}"
         )
-    cur = cert.start
+    state = ReplayState(cert.start)
+    alive = state.alive
+    merged = None
     for idx, step in enumerate(cert.steps):
-        if not clique_is_flag(cur):
+        if not (
+            clique_is_flag(cert.start) if merged is None
+            else clique_is_flag_at(state, merged)
+        ):
             return fail(f"step {idx}: sphere is not flag")
         try:
             u, v = step.edge
         except (TypeError, ValueError):
             return fail(f"step {idx}: edge {step.edge!r} is not a vertex pair")
-        if type(u) is not int or type(v) is not int or not cur.has_edge(u, v):
+        m = len(alive)
+        if (
+            type(u) is not int or type(v) is not int
+            or not (0 <= u < m and 0 <= v < m and state.has_edge(alive[u], alive[v]))
+        ):
             return fail(f"step {idx}: {{{u}, {v}}} is not an edge")
-        if edge_belts(cur, u, v):
+        if edge_belts(state, alive[u], alive[v]):
             return fail(f"step {idx}: edge {{{u}, {v}}} lies in a belt")
+        if u > v:
+            u, v = v, u
+        merged = alive[u]
         try:
-            u, v = _norm_edge(cur, (u, v))
-            relabel = tuple(
-                w if w < v else (u if w == v else w - 1) for w in range(cur.n)
-            )
-            faces = [
-                (relabel[x], relabel[y], relabel[z])
-                for x, y, z in cur.faces
-                if not (u in (x, y, z) and v in (x, y, z))
-            ]
-            nxt = from_faces(cur.n - 1, faces)
+            if not state.contract(merged, alive[v]):
+                # the reason, as the full check reads it off the whole face list
+                from_faces(m - 1, state.faces())
         except FlagsphereError as exc:
             return fail(f"step {idx}: contraction failed: {exc}")
-        if relabel != step.relabel:
+        if (*range(v), u, *range(v, m - 1)) != step.relabel:
             return fail(f"step {idx}: recorded relabeling does not match replay")
-        cur = nxt
-    if cur != cert.end:
+    end = cert.end
+    if not isinstance(end, SimplicialSphere) or (end.n, end.faces) != (
+        len(alive), state.faces()
+    ):
         return fail("replayed end sphere differs from recorded end")
-    if not brute_is_flag(cur):
+    if not brute_is_flag(end):
         return fail("end sphere is not flag")
-    if not brute_isomorphic(cur, octahedron()):
+    if not brute_isomorphic(end, _OCTAHEDRON):
         return fail("end sphere is not the octahedron")
     return CertificateCheck(True, "ok")
 
+
+_OCTAHEDRON = octahedron()
 
 _CERT_FORMAT = "contraction-certificate"
 _CERT_VERSION = 1

@@ -83,12 +83,13 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
         raise BudgetTooSmall(f"need max_n >= 6, got {max_n!r}")
     f0 = canonical_form(octahedron())
     nodes = {f0: HasseNode(f0, 6)}
-    arcs = set()
+    arcs = []
     for n in range(6, max_n):
         for parent in [f for f, node in nodes.items() if node.n == n]:
             K = sphere_from_form(parent)
             group = canonical_automorphisms(K)
             seen = set()
+            children = set()
             for spec in flag_splits(K):
                 w, a, b = spec.w, spec.a, spec.b
                 if ((w, a, b) if a < b else (w, b, a)) in seen:
@@ -100,7 +101,9 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
                 cf = canonical_form(child)
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1)
-                arcs.add((parent, nodes[cf].form))
+                children.add(cf)
+            arcs.extend((parent, nodes[cf].form) for cf in children)
+    # A list, not a set, so that the frozenset is the only hash table of arcs.
     return HasseGraph(max_n, nodes, frozenset(arcs))
 
 

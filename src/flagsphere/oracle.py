@@ -9,20 +9,25 @@ revalidated from scratch; belt search, flagness, and isomorphism are
 reimplemented from their definitions.
 
 ``brute_belts`` and ``brute_is_flag`` scan every vertex 4-set.  The
-certificate verifier calls two local readings of the same definitions
-at every step instead: ``edge_belts`` applies the 4-set belt test only
-to the 4-sets through one edge, and ``clique_is_flag`` lists the cliques
-of the edge graph.  Neither uses the degree or two-apex theorems of the
-fast path, and the brute scans stay as their test oracle.
+certificate verifier uses local readings of the same definitions
+instead: ``clique_is_flag`` lists the cliques of the start's edge graph,
+``clique_is_flag_at`` only those through the merged vertex of a step,
+and ``edge_belts`` applies the 4-set belt test only to the 4-sets through
+one edge.  None uses the degree or two-apex theorems of the fast path,
+and the brute scans stay as their test oracle.  The verifier's other
+shared machinery is ``ReplayState``, a sphere contracted in place in its
+start's labels, which checks the sphere conditions at the vertices that
+each contraction touches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, permutations
 
 from .errors import BudgetTooLarge, BudgetTooSmall, NotAnEdge, TooLarge
 from .flags import Belt
-from .sphere import SimplicialSphere, from_faces, tetrahedron
+from .sphere import Face, SimplicialSphere, from_faces, tetrahedron
 
 _ISO_LIMIT = 9
 _ENUMERATION_LIMIT = 11
@@ -115,6 +120,115 @@ def clique_is_flag(K: SimplicialSphere) -> bool:
                 if any(d > c for d in common & adj[c]):
                     return False
     return True
+
+
+def clique_is_flag_at(K, u: int) -> bool:
+    """:func:`clique_is_flag` for the cliques through ``u`` only.
+
+    Lists each 3-clique {u, b, c} once, b < c, from a neighbor b and a
+    common neighbor c, and fails if it is not a face or if some d is
+    adjacent to all three.  After a contraction onto ``u`` of a flag
+    sphere, every other clique was a clique before, so this decides flagness.
+    """
+    adj = K.adjacency
+    nu = adj[u]
+    for b in nu:
+        common = nu & adj[b]
+        for c in common:
+            if c > b and (not K.has_face((u, b, c)) or common & adj[c]):
+                return False
+    return True
+
+
+def _edge(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+class ReplayState:
+    """A sphere contracted in place, edge by edge, in its start's labels.
+
+    Holds each vertex's neighbor set (``adjacency``, empty once merged
+    away), the far vertices of the faces at each edge (``apex``), the face
+    count and ``alive``, the surviving start labels in order: current
+    label i is ``alive[i]``.  ``n``, ``adjacency``, ``has_edge`` and
+    ``has_face`` read like a sphere's, in start labels.
+    """
+
+    def __init__(self, K: SimplicialSphere):
+        self.n = K.n
+        self.adjacency = [set(nbrs) for nbrs in K.adjacency]
+        self.apex: dict[tuple[int, int], list[int]] = {}
+        for a, b, c in K.faces:
+            for e, x in (((a, b), c), ((a, c), b), ((b, c), a)):
+                self.apex.setdefault(e, []).append(x)
+        self.n_faces = len(K.faces)
+        self.alive = list(range(K.n))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adjacency[u]
+
+    def has_face(self, face) -> bool:
+        a, b, c = sorted(face)
+        return c in self.apex.get((a, b), ())
+
+    def contract(self, u: int, v: int) -> bool:
+        """Contract the edge {u, v} onto ``u``; whether the result is a sphere.
+
+        v's faces are dropped, and those without ``u`` are added back with
+        ``v`` renamed ``u``.  Only v's old neighbors get new faces, so only
+        their edges and links are checked: every edge in exactly two faces
+        (an edge or face made twice leaves an edge in four), every link one
+        cycle through all neighbors; then Euler's formula from the counts.
+        """
+        adj, apex = self.adjacency, self.apex
+        touched = adj[v]
+        at_v = [(x, y) for x in touched for y in apex[_edge(v, x)] if x < y]
+        for x in touched:
+            del apex[_edge(v, x)]
+            adj[x].discard(v)
+        adj[v] = set()
+        self.n_faces -= len(at_v)
+        for x, y in at_v:
+            apex[x, y].remove(v)
+            if u != x and u != y:
+                self.n_faces += 1
+                for a, b, c in ((u, x, y), (u, y, x), (x, y, u)):
+                    e = _edge(a, b)
+                    if e not in apex:
+                        apex[e] = []
+                        adj[a].add(b)
+                        adj[b].add(a)
+                    apex[e].append(c)
+        alive = self.alive
+        del alive[bisect_left(alive, v)]
+        return (
+            all(len(apex[_edge(x, y)]) == 2 for x in touched for y in adj[x])
+            and all(self._one_link(x) for x in touched)
+            and len(alive) - len(apex) + self.n_faces == 2
+        )
+
+    def _one_link(self, x: int) -> bool:
+        """Whether the faces at ``x`` close up, face to face, into one cycle
+        through all of x's neighbors; every edge at ``x`` lies in two faces."""
+        apex, nbrs = self.apex, self.adjacency[x]
+        y = first = min(nbrs)
+        w = apex[_edge(x, y)][0]
+        seen = set()
+        while y not in seen:
+            seen.add(y)
+            a, b = apex[_edge(x, y)]
+            w, y = y, (b if a == w else a)
+        return y == first and len(seen) == len(nbrs)
+
+    def faces(self) -> tuple[Face, ...]:
+        """The faces in current labels, sorted, as :attr:`SimplicialSphere.faces`."""
+        rank = {x: i for i, x in enumerate(self.alive)}
+        return tuple(sorted(
+            (rank[a], rank[b], rank[c])
+            for (a, b), far in self.apex.items()
+            for c in far
+            if c > b
+        ))
 
 
 def _bijections(A: SimplicialSphere, B: SimplicialSphere):

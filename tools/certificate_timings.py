@@ -8,7 +8,7 @@ For each size, the seed-1 sphere is grown by the benchmark's input generator
 start-up included.  A run fails unless every certificate has n - 6 steps,
 round-trips through JSON byte for byte and verifies.
 
-    python3 tools/certificate_timings.py                    # n = 200, 400, 800
+    python3 tools/certificate_timings.py                    # n = 200, 400, 800, 1600
     python3 tools/certificate_timings.py --src OTHER/src
 
 ``--src`` selects the library tree to time (default: ``src/`` of this
@@ -27,7 +27,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
-SIZES = (200, 400, 800)
+SIZES = (200, 400, 800, 1600)
 
 
 def main() -> int:
