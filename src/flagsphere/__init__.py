@@ -6,6 +6,8 @@ forms; the Hasse graph of the contraction order; and brute-force oracles
 backing all of it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .canonical import (
     canonical_automorphisms,
     canonical_form,
@@ -96,76 +98,9 @@ from .sphere import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SimplicialSphere",
-    "from_faces",
-    "tetrahedron",
-    "octahedron",
-    "parse_tri",
-    "dump_tri",
-    "parse_corpus",
-    "dump_corpus",
-    "Belt",
-    "is_flag",
-    "missing_triangles",
-    "belts",
-    "belt_covered_edges",
-    "edge_in_belt",
-    "canonical_form",
-    "canonical_automorphisms",
-    "canonical_sphere",
-    "sphere_from_form",
-    "encode_face_set",
-    "decode_form",
-    "form_hex",
-    "isomorphic",
-    "link_condition",
-    "contract",
-    "contract_mapped",
-    "is_flag_contractible",
-    "is_minimal",
-    "square_link_vertices",
-    "reduce_to_octahedron",
-    "verify_certificate",
-    "certificate_to_json",
-    "certificate_from_json",
-    "ContractionCertificate",
-    "CertStep",
-    "CertificateCheck",
-    "SplitSpec",
-    "split_vertex",
-    "flag_splits",
-    "flag_expansions",
-    "expansion_bound",
-    "diagonal_count",
-    "brute_automorphism_count",
-    "brute_belts",
-    "brute_is_flag",
-    "brute_isomorphic",
-    "clique_is_flag",
-    "clique_is_flag_at",
-    "edge_belts",
-    "enumerate_all_spheres",
-    "HasseGraph",
-    "HasseNode",
-    "build",
-    "verify_degree_bounds",
-    "export_dot",
-    "export_json",
-    "export_levels_tsv",
-    "import_json",
-    "BoundsReport",
-    "BoundEntry",
-    "FlagsphereError",
-    "NotASphere",
-    "BadVertex",
-    "NotAnEdge",
-    "NotFlag",
-    "LinkConditionViolated",
-    "BadSplitSpec",
-    "BudgetTooSmall",
-    "BudgetTooLarge",
-    "TooLarge",
-    "InternalMinimalityViolation",
-    "FormatError",
-]
+# The public names are those the imports above bind, less the submodules.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

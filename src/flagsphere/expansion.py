@@ -35,9 +35,12 @@ def split_vertex(K: SimplicialSphere, spec: SplitSpec) -> SimplicialSphere:
     """Apply ``spec`` to ``K``; the new vertex gets label ``K.n``.
 
     The arc of ``w``'s link running from ``a`` to ``b`` in the link cycle's
-    normalized direction stays with ``w``; the arc from ``b`` back to ``a``
-    moves to the new vertex.  Raises BadSplitSpec unless ``a`` and ``b`` are
-    two distinct link vertices of a valid ``w``.
+    normalized direction (see :meth:`SimplicialSphere.link_cycle`) stays
+    with ``w``; the arc from ``b`` back to ``a`` moves to the new vertex.
+    This is the one place that convention is decided: the junctions are
+    handed to the split in the order that w's stored rotation runs along
+    that arc.  Raises BadSplitSpec unless ``a`` and ``b`` are two distinct
+    link vertices of a valid ``w``.
     """
     if type(spec.w) is not int or not 0 <= spec.w < K.n:
         raise BadSplitSpec(f"no vertex {spec.w!r} to split")
@@ -48,6 +51,8 @@ def split_vertex(K: SimplicialSphere, spec: SplitSpec) -> SimplicialSphere:
         if type(v) is not int or v not in cyc:
             raise BadSplitSpec(f"{v!r} is not in the link of {spec.w}")
     i, j = sorted((cyc.index(spec.a), cyc.index(spec.b)))
+    if K.rotation(spec.w)[cyc[0]] != cyc[1]:  # the rotation runs against the cycle
+        i, j = j, i
     return _split(K, spec.w, cyc[i], cyc[j])
 
 

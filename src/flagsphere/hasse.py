@@ -211,7 +211,8 @@ def import_json(text: str) -> HasseGraph:
     hash to the stored one, so a tampered file cannot round-trip.  What
     :func:`build` cannot write is rejected too: ``max_n < 6``, a node
     with ``n`` outside ``6..max_n``, a non-flag node, a node listed
-    twice, and an arc that does not go up exactly one level.
+    twice, an arc that does not go up exactly one level, and an arc
+    listed twice.
     """
     try:
         obj = json.loads(text)
@@ -268,6 +269,8 @@ def import_json(text: str) -> HasseGraph:
             raise FormatError(
                 f"graph arc {arc[0][:12]} -> {arc[1][:12]} does not go up one level"
             )
+        if (tail, head) in arcs:
+            raise FormatError(f"graph arc {arc[0][:12]} -> {arc[1][:12]} is listed twice")
         arcs.add((tail, head))
     return HasseGraph(max_n, nodes, frozenset(arcs))
 

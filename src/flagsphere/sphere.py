@@ -31,11 +31,7 @@ class SimplicialSphere:
     :func:`octahedron`), which run the full validation.  Edge contraction
     and vertex splitting build their results from the input's rotation
     by construction, with no validation: they are spheres whenever the
-    input is (given the link condition, for contraction).  A certified
-    reduction builds no sphere per step: it contracts in place, in the
-    input's labels, on copies of the input's rotation maps (see
-    :func:`_contract_rotations`) and builds one sphere, the 6-vertex end,
-    which it recognises as the octahedron by its degree sequence.
+    input is (given the link condition, for contraction).
 
     An instance stores its faces and one rotation (see :meth:`rotation`),
     nothing else.  Edges, neighbor sets, link cycles, reversed rotations
@@ -360,18 +356,16 @@ def _contracted(K: SimplicialSphere, u: int, v: int, relabel) -> SimplicialSpher
 def _split(K: SimplicialSphere, w: int, a: int, b: int) -> SimplicialSphere:
     """``K`` with ``w`` split into the edge {w, K.n} at ``a`` and ``b``, unchecked.
 
-    ``a`` and ``b`` are distinct neighbors of ``w``.  The arc of w's link
-    from ``a`` to ``b`` in the direction of :meth:`link_cycle` stays with
-    ``w``; the arc from ``b`` back to ``a`` moves to the new vertex, whose
-    interior vertices rename ``w`` to it, and the new vertex enters the
-    rotations of ``a`` and ``b`` next to ``w``.
+    ``a`` and ``b`` are distinct neighbors of ``w``.  The arc of w's
+    rotation from ``a`` to ``b`` stays with ``w``; the arc from ``b`` back
+    to ``a`` moves to the new vertex, whose interior vertices rename ``w``
+    to it, and the new vertex enters the rotations of ``a`` and ``b`` next
+    to ``w``.  Like :func:`_contract_rotations`, it reads the rotation
+    system alone.
     """
     n = K.n
     old = K._succ
     rot = old[w]
-    cyc = K.link_cycle(w)
-    if rot[cyc[0]] != cyc[1]:
-        a, b = b, a  # the stored rotation runs against the link cycle
     kept = {b: n, n: a}
     x = a
     while x != b:

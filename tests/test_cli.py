@@ -229,6 +229,24 @@ def test_hasse_refuses_two_exports_to_stdout(capsys):
     assert "stdout" in refused.err
 
 
+def test_hasse_prints_each_bound_violation(capsys, monkeypatch):
+    entry = fs.BoundEntry(
+        form_hex="0123456789abcdef" * 4,
+        n=7,
+        in_degree=3,
+        belt_free_edges=2,
+        out_degree=5,
+        expansion_bound=4,
+        out_checked=True,
+        ok=False,
+    )
+    monkeypatch.setattr(cli, "verify_degree_bounds", lambda G: fs.BoundsReport((entry,)))
+    assert run(["hasse", "--max-n", "7"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "levels: 6:1 7:1\n"
+    assert printed.err == "bound violation: 0123456789ab n=7 in=3/2 out=5/4\n"
+
+
 def test_hasse_budget_error(capsys):
     assert run(["hasse", "--max-n", "5"]) == 1
     assert capsys.readouterr().err.startswith("ERR BUDGET_TOO_SMALL:")

@@ -288,3 +288,13 @@ def test_import_rejects_arc_not_one_level_up():
     for arc in ([head, tail], [tail, tail], [head, head]):
         obj["arcs"] = [arc]
         assert_import_rejects(obj)
+
+
+def test_import_rejects_duplicate_arc():
+    import json
+
+    obj = graph7_json()
+    [[tail, head]] = obj["arcs"]
+    obj["arcs"].append([tail, head])
+    with pytest.raises(fs.FormatError, match=f"arc {tail[:12]} -> {head[:12]} is listed twice"):
+        fs.import_json(json.dumps(obj))

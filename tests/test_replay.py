@@ -172,3 +172,33 @@ def test_replay_state_contracts_as_a_rebuild_does(corpus9):
             else:
                 with pytest.raises(fs.NotASphere):
                     fs.from_faces(K.n - 1, state.faces())
+
+
+def test_verifier_reports_a_failed_contraction_with_the_rebuild_reason(corpus9):
+    """With the flag and belt tests out of the way, a step on an edge that
+    fails the link condition is refused with the reason ``from_faces`` gives
+    for the contracted face list."""
+    codes = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contraction, "clique_is_flag", lambda K: True)
+        mp.setattr(contraction, "clique_is_flag_at", lambda state, x: True)
+        mp.setattr(contraction, "edge_belts", lambda K, u, v: set())
+        for K in corpus9:
+            if K.n < 7:
+                continue
+            for u, v in K.edges:
+                if fs.link_condition(K, (u, v)):
+                    continue
+                relabel = tuple(w if w < v else (u if w == v else w - 1) for w in range(K.n))
+                faces = sorted(
+                    tuple(sorted(relabel[x] for x in f)) for f in K.faces if not {u, v} <= set(f)
+                )
+                with pytest.raises(fs.NotASphere) as exc:
+                    fs.from_faces(K.n - 1, faces)
+                step = forced_step(K, (u, v))
+                cert = fs.ContractionCertificate(K, (step,) * (K.n - 6), K)
+                check = fs.verify_certificate(cert)
+                assert not check.ok
+                assert check.reason == f"step 0: contraction failed: {exc.value}", (K, u, v)
+                codes.add(check.reason.split(": ")[2])
+    assert codes == {"duplicate-face", "edge-degree"}
