@@ -32,9 +32,8 @@ from .oracle import (
 )
 from .sphere import (
     SimplicialSphere,
+    _compacted,
     _contract_rotations,
-    _contracted,
-    _from_rotation,
     from_faces,
     octahedron,
 )
@@ -65,6 +64,23 @@ def link_condition(K: SimplicialSphere, e) -> bool:
     return _link_ok(K.rotation(u), K.rotation(v), u, v)
 
 
+def _contract_step(succ, alive: list[int], u: int, v: int) -> CertStep:
+    """Check the link condition, then contract {u, v}, u < v, in ``succ`` in place.
+
+    ``alive`` lists the surviving labels in increasing order; a vertex's
+    current label is its rank there, and ``v`` leaves it.  Returns the
+    step, edge and relabeling, in current labels.
+    """
+    if not _link_ok(succ[u], succ[v], u, v):
+        raise LinkConditionViolated(
+            f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
+        )
+    _contract_rotations(succ, u, v)
+    i, j = bisect_left(alive, u), bisect_left(alive, v)
+    del alive[j]
+    return CertStep((i, j), (*range(j), i, *range(j, len(alive))))
+
+
 def contract_mapped(K: SimplicialSphere, e) -> tuple[SimplicialSphere, tuple[int, ...]]:
     """Contract ``e``, returning the sphere and the old->new label map.
 
@@ -72,12 +88,10 @@ def contract_mapped(K: SimplicialSphere, e) -> tuple[SimplicialSphere, tuple[int
     labels are compacted to 0..n-2.
     """
     u, v = _norm_edge(K, e)
-    if not link_condition(K, (u, v)):
-        raise LinkConditionViolated(
-            f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
-        )
-    relabel = tuple(w if w < v else (u if w == v else w - 1) for w in range(K.n))
-    return _contracted(K, u, v, relabel), relabel
+    succ = [dict(K.rotation(x)) for x in range(K.n)]
+    alive = list(range(K.n))
+    relabel = _contract_step(succ, alive, u, v).relabel
+    return _compacted(succ, alive), relabel
 
 
 def contract(K: SimplicialSphere, e) -> SimplicialSphere:
@@ -147,14 +161,11 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     them is an internal failure, not a caller error.
 
     The reduction contracts in place, in the input's labels: it keeps one
-    list of rotation maps, read directly by the belt and link tests, and
-    changes, per step, only the maps of the edge's ends, its two apexes
-    and v's neighbors (see :func:`~flagsphere.sphere._contract_rotations`),
-    after checking the link condition.  The merged vertex keeps the
-    smaller label and compaction preserves order, so a vertex's current
-    label is its rank among the surviving input labels; each step's edge
-    and relabeling are read off those ranks.  One sphere is built, at the
-    end, and it is recognised as the octahedron by its degrees: the only
+    list of rotation maps, read directly by the belt tests, and contracts
+    each edge by :func:`_contract_step`, as :func:`contract_mapped` does,
+    which changes only the maps of the edge's ends, its two apexes and v's
+    neighbors.  One sphere is built, at the end, by the same compaction,
+    and it is recognised as the octahedron by its degrees: the only
     triangulated 2-sphere on 6 vertices with every degree 4.
     """
     if not is_flag(K):
@@ -165,8 +176,8 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     while len(alive) > 6:
         edge = next(
             (
-                (i, u, v)
-                for i, u in enumerate(alive)
+                (u, v)
+                for u in alive
                 for v in sorted(w for w in succ[u] if w > u)
                 if not _belt_side(succ, u, v)
             ),
@@ -176,19 +187,8 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
             raise InternalMinimalityViolation(
                 f"flag sphere on {len(alive)} vertices has every edge in a belt"
             )
-        i, u, v = edge
-        if not _link_ok(succ[u], succ[v], u, v):
-            raise LinkConditionViolated(
-                f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
-            )
-        j = bisect_left(alive, v)
-        steps.append(CertStep((i, j), (*range(j), i, *range(j, len(alive) - 1))))
-        _contract_rotations(succ, u, v)
-        del alive[j]
-    rank = {x: i for i, x in enumerate(alive)}
-    end = _from_rotation(
-        6, [{rank[y]: rank[z] for y, z in succ[x].items()} for x in alive]
-    )
+        steps.append(_contract_step(succ, alive, *edge))
+    end = _compacted(succ, alive)
     if any(len(rot) != 4 for rot in end.adjacency):
         raise InternalMinimalityViolation(
             "reduction ended on a 6-vertex sphere that is not the octahedron"

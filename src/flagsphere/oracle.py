@@ -33,19 +33,19 @@ _ISO_LIMIT = 9
 _ENUMERATION_LIMIT = 11
 
 
-def _belt_on(K: SimplicialSphere, adj, quad) -> Belt | None:
+def _belt_on(adj, quad) -> Belt | None:
     """The belt on the sorted 4-set ``quad``, or None: the literal 4-set test.
 
     Each vertex has exactly two neighbors in ``quad``, so it induces
-    exactly four edges, a 4-cycle, and no face lies among the four triples.
+    exactly four edges, a 4-cycle.  No face lies among its four triples
+    then, and none is looked for: a 2-regular graph on 4 vertices is a
+    chordless 4-cycle, so no three of them are pairwise adjacent.
     """
     nbr = {}
     for p in quad:
         ns = nbr[p] = [q for q in quad if q in adj[p]]
         if len(ns) != 2:
             return None
-    if any(K.has_face(t) for t in combinations(quad, 3)):
-        return None
     # quad[0] is the smallest vertex; walk toward its smaller neighbor
     a = quad[0]
     b, d = nbr[a]
@@ -56,7 +56,7 @@ def _belt_on(K: SimplicialSphere, adj, quad) -> Belt | None:
 def brute_belts(K: SimplicialSphere) -> set[Belt]:
     """Every 4-subset inducing exactly a chord-free, face-free 4-cycle."""
     adj = K.adjacency
-    found = (_belt_on(K, adj, quad) for quad in combinations(range(K.n), 4))
+    found = (_belt_on(adj, quad) for quad in combinations(range(K.n), 4))
     return {belt for belt in found if belt is not None}
 
 
@@ -94,7 +94,7 @@ def edge_belts(K: SimplicialSphere, u: int, v: int) -> set[Belt]:
         raise NotAnEdge(f"{{{u!r}, {v!r}}} is not an edge")
     adj = K.adjacency
     pairs = combinations(sorted((adj[u] | adj[v]) - {u, v}), 2)
-    found = (_belt_on(K, adj, sorted((u, v, x, y))) for x, y in pairs if y in adj[x])
+    found = (_belt_on(adj, sorted((u, v, x, y))) for x, y in pairs if y in adj[x])
     return {belt for belt in found if belt is not None}
 
 

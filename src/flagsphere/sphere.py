@@ -331,26 +331,17 @@ def _contract_rotations(succ: list[dict[int, int]], u: int, v: int) -> None:
             }
 
 
-def _contracted(K: SimplicialSphere, u: int, v: int, relabel) -> SimplicialSphere:
-    """``K`` with the edge {u, v}, u < v, contracted onto ``u``, unchecked.
+def _compacted(succ: list[dict[int, int]], alive: list[int]) -> SimplicialSphere:
+    """The sphere on the maps of the ``alive`` labels, each renamed to its rank.
 
-    The caller has checked the link condition.  :func:`_contract_rotations`
-    runs on copies of the maps it changes in place, then ``relabel`` maps
-    each old label to its new one: ``v`` to ``u``, labels above ``v`` down
-    by one, the rest to themselves.
+    ``alive`` lists, in increasing order, the labels whose maps in ``succ``
+    form a rotation system (as after :func:`_contract_rotations`); the
+    ranks number them ``0..len(alive)-1`` in the same order.
     """
-    old = K._succ
-    succ = list(old)
-    for x in (u, old[v][u], old[u][v]):
-        succ[x] = dict(old[x])
-    _contract_rotations(succ, u, v)
-    del succ[v]
-    # A map whose labels all lie below v keeps them, so it is shared.
-    succ = [
-        rot if max(rot) < v else {relabel[y]: relabel[z] for y, z in rot.items()}
-        for rot in succ
-    ]
-    return _from_rotation(K.n - 1, succ)
+    rank = {x: i for i, x in enumerate(alive)}
+    return _from_rotation(
+        len(alive), [{rank[y]: rank[z] for y, z in succ[x].items()} for x in alive]
+    )
 
 
 def _split(K: SimplicialSphere, w: int, a: int, b: int) -> SimplicialSphere:

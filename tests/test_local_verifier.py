@@ -180,3 +180,22 @@ def test_malformed_edge_fails_without_raising(s7):
     for edge in ((0, 1, 2), (0,), 5, None):
         check = fs.verify_certificate(with_step(cert, 0, replace(step, edge=edge)))
         assert (check.ok, check.reason) == (False, f"step 0: edge {edge!r} is not a vertex pair")
+
+
+def test_non_octahedral_end_is_refused(corpus9, monkeypatch):
+    """With every flag and belt check passed, the end's isomorphism type still fails."""
+    K, edge = next(
+        (K, e)
+        for K in corpus9
+        if K.n == 7
+        for e in K.edges
+        if fs.link_condition(K, e) and fs.contract(K, e).r_vector() != {4: 6}
+    )
+    end, relabel = fs.contract_mapped(K, edge)
+    cert = fs.ContractionCertificate(K, (fs.CertStep(edge, relabel),), end)
+    monkeypatch.setattr(contraction, "clique_is_flag", lambda K: True)
+    monkeypatch.setattr(contraction, "clique_is_flag_at", lambda state, u: True)
+    monkeypatch.setattr(contraction, "edge_belts", lambda state, u, v: set())
+    monkeypatch.setattr(contraction, "brute_is_flag", lambda K: True)
+    check = fs.verify_certificate(cert)
+    assert (check.ok, check.reason) == (False, "end sphere is not the octahedron")

@@ -306,6 +306,14 @@ def test_equality_and_hash(octa, s7):
     assert len({octa, again, s7}) == 2
 
 
+def test_constructor_guard_foreign_equality_and_repr(octa):
+    with pytest.raises(TypeError, match="use from_faces"):
+        fs.SimplicialSphere(octa.n, octa.faces, [dict(octa.rotation(v)) for v in range(6)])
+    assert octa.__eq__("x") is NotImplemented
+    assert (octa == "x") is False
+    assert repr(octa) == "SimplicialSphere(n=6, faces=8)"
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), target=st.integers(5, 11))
 def test_random_spheres_validate(random_sphere, seed, target):
