@@ -8,18 +8,26 @@ over all starts.  Scanning both directions makes mirror images share a
 form, and the minimal code is itself a relabeled copy of the sphere, so
 the form is a complete isomorphism invariant, not just a hash.
 
-Three rules skip work without changing that minimum.  Every code begins
+Four rules skip work without changing that minimum.  Every code begins
 (0,1,2), (0,1,d) for d = deg u, so only roots u of minimum degree can
-win.  When the only common neighbours of u and v are the apexes of uv,
-the first entry that begins with 1 is (1,2,d+deg v-3), so of those
-starts only the ones of least deg v can win; an edge with a third
-common neighbour, which only a non-flag sphere has, is always tried.
-And once the vertex labeled i is dequeued its faces whose other labels
-both exceed i are known: they are exactly the code entries that begin
-with i, and follow all entries beginning with a smaller label.  The code
-is thus emitted in sorted order, chunk by chunk, and compared with the
-best code so far as it grows: the first larger entry drops the start,
-and after the first smaller one the start is finished as the new best.
+win.  Call an edge clean when its only common neighbours are its two
+apexes.  For a clean uv the first entry that begins with 1 is
+(1,2,d+e-3), e = deg v, so of those starts only the ones of least e can
+win.  Of these, let a = rot[u][v], labeled 2.  If ua and va are clean
+too, a's rotation from u runs v, the other apex of va (labeled d+e-3),
+deg a - 4 unlabeled vertices (a labeled one would be a third common
+neighbour of ua or va) and the other apex of ua (labeled 3), so the
+first entry that begins with 2 is (2,3,d+e+deg a-7), and only the starts
+of least deg a can win.  A start that is not clean where a rule asks,
+which only a non-flag sphere has, is always tried.  Each rule drops only
+starts that lose to a kept one, so the code and the starts that tie it,
+in order, are unchanged.  And once the vertex labeled i is dequeued its
+faces whose other labels both exceed i are known: they are exactly the
+code entries that begin with i, and follow all entries beginning with a
+smaller label.  The code is thus emitted in sorted order, chunk by
+chunk, and compared with the best code so far as it grows: the first
+larger entry drops the start, and after the first smaller one the start
+is finished as the new best.
 
 A start that ties the best code to the end is not wasted: its labeling
 and the winner's both map the sphere onto the same code, so together they
@@ -101,22 +109,25 @@ def _starts(K: SimplicialSphere) -> list:
         for v in succ[u]
     ]
     e = min((len(adj[v]) for _, v, clean in edges if clean), default=K.n)
-    return [
-        (rot, u, v)
-        for u, v, clean in edges
-        if not clean or len(adj[v]) <= e
-        for rot in (succ, pred)
-    ]
+    # rank: deg a when uv, ua and va are clean, a = rot[u][v]; else 0, always tried
+    ranked = []
+    for u, v, clean in edges:
+        if clean and len(adj[v]) > e:
+            continue
+        for rot in (succ, pred):
+            a = rot[u][v]
+            all_clean = clean and len(adj[u] & adj[a]) == 2 == len(adj[v] & adj[a])
+            ranked.append((rot, u, v, len(adj[a]) if all_clean else 0))
+    f = min((r for *_, r in ranked if r), default=0)
+    return [(rot, u, v) for rot, u, v, r in ranked if r <= f]
 
 
-def _min_code(
-    K: SimplicialSphere,
-) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+def _min_code(K: SimplicialSphere) -> tuple[list[int], int, list[list[int]]]:
     """The least code over all starts that can win, and the labelings that reach it.
 
-    Returns the code as sorted face triples and, in :func:`_starts` order,
-    the labeling of every start whose code equals it; the first is the
-    winner's.
+    Returns the code as packed ints (see :func:`_start_code`), their
+    field width ``s`` and, in :func:`_starts` order, the labeling of every
+    start whose code equals it; the first is the winner's.
     """
     n = K.n
     s = max(1, (n - 1).bit_length())
@@ -128,8 +139,7 @@ def _min_code(
             if found[0] is not best:
                 best, labels = found[0], []
             labels.append(found[1])
-    mask = (1 << s) - 1
-    return [(e >> (2 * s), (e >> s) & mask, e & mask) for e in best], labels
+    return best, s, labels
 
 
 def encode_face_set(n: int, faces) -> bytes:
@@ -156,7 +166,10 @@ def canonical_form(K: SimplicialSphere) -> bytes:
     (including mirror images); the rendering is stable across runs and
     platforms.
     """
-    return encode_face_set(K.n, _min_code(K)[0])
+    code, s, _ = _min_code(K)
+    mask = (1 << s) - 1
+    flat = [x for c in code for x in (c >> 2 * s, c >> s & mask, c & mask)]
+    return struct.pack(f">{2 + len(flat)}I", K.n, len(code), *flat)
 
 
 def canonical_automorphisms(K: SimplicialSphere) -> tuple[tuple[int, ...], ...]:
@@ -171,7 +184,7 @@ def canonical_automorphisms(K: SimplicialSphere) -> tuple[tuple[int, ...], ...]:
     ``best``.
     """
     n = K.n
-    _, (best, *ties) = _min_code(K)
+    *_, (best, *ties) = _min_code(K)
     out = [tuple(range(n))]
     for label in ties:
         p = [0] * n

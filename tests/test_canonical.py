@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 import flagsphere as fs
 
 OCTAHEDRON_FORM_HEX = "d0d52e084703f5de0e9ae69e38ca6a1c878aa4d4fb386d44747afc82914b785e"
+# search_digest of the graph11 nodes (in node order) and of corpus10
+GRAPH11_SEARCH_DIGEST = "720039ab395954e668281f8d7395230ad12e31b8f5332904f0dd3dd75642f106"
+CORPUS10_SEARCH_DIGEST = "fbed3d97b4be070cc5e7b1b90777612594c9a9951063db9967ba9aabaff1cc50"
 
 
 def reference_form(K):
@@ -38,6 +42,17 @@ def reference_form(K):
                     best = code
     flat = [n, len(best)] + [x for f in best for x in f]
     return b"".join(x.to_bytes(4, "big") for x in flat)
+
+
+def search_digest(spheres):
+    """sha256 over each sphere's form, group order and automorphisms, in order."""
+    h = hashlib.sha256()
+    for K in spheres:
+        group = fs.canonical_automorphisms(K)
+        h.update(fs.canonical_form(K) + len(group).to_bytes(4, "big"))
+        for p in group:
+            h.update(bytes(p))
+    return h.hexdigest()
 
 
 def stacked_sphere(n, seed):
@@ -187,3 +202,28 @@ def test_starts_keep_edges_with_extra_common_neighbours(sphere24, relabel):
     for _ in range(20):
         image = shuffled(K, relabel, rng)
         assert fs.canonical_form(image) == reference_form(image) == form
+
+
+def test_starts_keep_label_2_edges_with_extra_common_neighbours(relabel):
+    """Of the starts with least deg v, only those of least deg a can win,
+    a = rot[u][v] labeled 2, provided ua and va have only their apexes as
+    common neighbours.  Without that proviso the filter drops a winner
+    here: the smallest such sphere, n = 7, degrees 3,3,3,5,5,5,6.
+    """
+    faces = [(0, 2, 5), (0, 2, 6), (0, 5, 6), (1, 4, 5), (1, 4, 6),
+             (1, 5, 6), (2, 3, 4), (2, 3, 6), (2, 4, 5), (3, 4, 6)]
+    K = fs.from_faces(7, faces)
+    assert sorted(map(len, K.adjacency)) == [3, 3, 3, 5, 5, 5, 6]
+    form = reference_form(K)
+    assert fs.canonical_form(K) == form
+    rng = random.Random(7)
+    for _ in range(20):
+        image = shuffled(K, relabel, rng)
+        assert fs.canonical_form(image) == reference_form(image) == form
+
+
+def test_search_results_are_pinned(graph11, corpus10):
+    """Forms and automorphism tuples, in order, are pinned: a start filter may
+    drop only starts that can neither win nor tie, so it changes neither."""
+    assert search_digest(node.sphere for node in graph11.nodes.values()) == GRAPH11_SEARCH_DIGEST
+    assert search_digest(corpus10) == CORPUS10_SEARCH_DIGEST
