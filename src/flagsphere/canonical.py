@@ -4,39 +4,38 @@ A start (directed edge u->v, one of the two rotational directions)
 relabels the sphere breadth-first: u gets 0, v gets 1, and each dequeued
 vertex labels its unlabeled neighbors in rotation order, after the one
 that discovered it.  The form is the least sorted relabeled face list
-over all starts.  Scanning both directions makes mirror images share a
-form, and the minimal code is itself a relabeled copy of the sphere, so
-the form is a complete isomorphism invariant, not just a hash.
+over all starts.  Both directions make mirror images share a form, and
+the least code is a relabeled copy of the sphere, so the form is a
+complete isomorphism invariant.  The mirror walk steps to t's
+predecessor round x, succ[t][x], as the orientation is consistent.
 
 Four rules skip work without changing that minimum.  Every code begins
 (0,1,2), (0,1,d) for d = deg u, so only roots u of minimum degree can
 win.  Call an edge clean when its only common neighbours are its two
 apexes.  For a clean uv the first entry that begins with 1 is
-(1,2,d+e-3), e = deg v, so of those starts only the ones of least e can
-win.  Of these, let a = rot[u][v], labeled 2.  If ua and va are clean
-too, a's rotation from u runs v, the other apex of va (labeled d+e-3),
-deg a - 4 unlabeled vertices (a labeled one would be a third common
-neighbour of ua or va) and the other apex of ua (labeled 3), so the
-first entry that begins with 2 is (2,3,d+e+deg a-7), and only the starts
-of least deg a can win.  A start that is not clean where a rule asks,
-which only a non-flag sphere has, is always tried.  Each rule drops only
-starts that lose to a kept one, so the code and the starts that tie it,
-in order, are unchanged.  And once the vertex labeled i is dequeued its
-faces whose other labels both exceed i are known: they are exactly the
-code entries that begin with i, and follow all entries beginning with a
-smaller label.  The code is thus emitted in sorted order, chunk by
-chunk, and compared with the best code so far as it grows: the first
-larger entry drops the start, and after the first smaller one the start
-is finished as the new best.
+(1,2,d+e-3), e = deg v, so only the starts of least e can win.  Let a
+be labeled 2.  If ua and va are clean too, a's rotation from u runs v,
+the other apex of va (labeled d+e-3), deg a - 4 unlabeled vertices (a
+labeled one would be a third common neighbour of ua or va) and the
+other apex of ua (labeled 3), so the first entry that begins with 2 is
+(2,3,d+e+deg a-7): only the starts of least deg a can win.  A start not
+clean where a rule asks (only on a non-flag sphere) is always tried.
+Each rule drops only starts that lose to a kept one, so the code and
+its tying starts, in order, are unchanged.  And once the vertex labeled
+i is dequeued, its faces whose other labels both exceed i are known:
+they are the code entries that begin with i, after all those that begin
+with a smaller label.  So the code is emitted sorted, chunk by chunk,
+and compared with the best so far as it grows: the first larger entry
+drops the start, and after the first smaller one the start runs on as
+the new best.  It stops at its last face, the (2n-4)th: every vertex
+lies on a face, so all are labeled by then.
 
-A start that ties the best code to the end is not wasted: its labeling
-and the winner's both map the sphere onto the same code, so together they
-give one automorphism of the canonical representative.  Every
+A start that ties the best code to the end gives, with the winner's
+labeling, one automorphism of the canonical representative.  Every
 automorphism maps a minimum-degree root to another, so the ties give the
-whole group, mirrors included.  The search returns the labelings of the
-starts that reach the code, the winner's first, next to the code; the
-group is built from them only when asked for.  Every function here is
-pure: nothing is cached on the sphere.
+whole group, mirrors included; it is built from the tying labelings
+only when asked for.  Every function here is pure: nothing is cached on
+the sphere.
 """
 
 from __future__ import annotations
@@ -45,35 +44,34 @@ import hashlib
 import struct
 
 from .errors import FormatError
-from .sphere import SimplicialSphere, from_faces
+from .sphere import SimplicialSphere, _rotations, from_faces
 
 
-def _start_code(n: int, rot, u: int, v: int, s: int, best):
-    """``(code, label)`` for the start ``u->v`` in ``rot`` unless it loses to ``best``.
+def _start_code(n: int, succ, mirror: bool, u: int, v: int, s: int, best):
+    """``(code, label)`` for the start ``u->v`` unless it loses to ``best``.
 
-    Returns None when the code exceeds ``best``; on a tie the returned
-    code is ``best`` itself.  ``label[x]`` is the label the start gives
-    vertex ``x``.  A face x < y < z is packed as
-    ``(x << 2s) | (y << s) | z``, an int that orders like the triple.
+    ``mirror`` walks each rotation backwards.  None when the code exceeds
+    ``best``; on a tie the code returned is ``best`` itself.  A face
+    x < y < z is packed as ``(x << 2s) | (y << s) | z``, ordered like the
+    triple.
     """
     label = [-1] * n
-    label[u] = 0
-    label[v] = 1
+    label[u], label[v] = 0, 1
     order = [u, v]
     ref = [-1] * n
-    ref[u] = v
-    ref[v] = u
+    ref[u], ref[v] = v, u
     code = []
     pos = -1 if best is None else 0  # -1: already below best, stop comparing
+    m = 2 * n - 4
     for i in range(n):
         x = order[i]
-        rx = rot[x]
+        rx = succ[x]
         t = ref[x]
         lt = label[t]
         hi = i << (2 * s)
         chunk = []
-        for _ in range(len(rx)):
-            w = rx[t]
+        for _ in rx:
+            w = succ[t][x] if mirror else rx[t]
             lw = label[w]
             if lw < 0:
                 lw = label[w] = len(order)
@@ -92,49 +90,56 @@ def _start_code(n: int, rot, u: int, v: int, s: int, best):
             else:
                 pos = -1
         code += chunk
+        if len(code) == m:
+            break
     return (code if pos < 0 else best), label
 
 
 def _starts(K: SimplicialSphere) -> list:
-    """The starts that can win, in search order, as ``(rot, u, v)``."""
-    succ = [K.rotation(v) for v in range(K.n)]
-    pred = [K.rotation(v, reverse=True) for v in range(K.n)]
-    adj = K.adjacency
-    d = min(map(len, adj))
-    # clean: the edge's only common neighbours are its two apexes
-    edges = [
-        (u, v, len(adj[u] & adj[v]) == 2)
-        for u in range(K.n)
-        if len(adj[u]) == d
-        for v in succ[u]
-    ]
-    e = min((len(adj[v]) for _, v, clean in edges if clean), default=K.n)
-    # rank: deg a when uv, ua and va are clean, a = rot[u][v]; else 0, always tried
+    """The starts that can win, in search order, as ``(mirror, u, v)``."""
+    succ = _rotations(K)
+    n = len(succ)
+    deg = [len(r) for r in succ]
+    d = min(deg)
+    clean = {}  # x * n + y: xy is clean
+    edges = []
+    for u in range(n):
+        if deg[u] == d:
+            for v in succ[u]:
+                c = clean[u * n + v] = len(succ[u].keys() & succ[v]) == 2
+                edges.append((u, v, c))
+    e = min((deg[v] for _, v, c in edges if c), default=n)
+    # rank: deg a if uv, ua and va are clean, else 0 (always tried)
     ranked = []
-    for u, v, clean in edges:
-        if clean and len(adj[v]) > e:
+    for u, v, c in edges:
+        if c and deg[v] > e:
             continue
-        for rot in (succ, pred):
-            a = rot[u][v]
-            all_clean = clean and len(adj[u] & adj[a]) == 2 == len(adj[v] & adj[a])
-            ranked.append((rot, u, v, len(adj[a]) if all_clean else 0))
+        for mirror in (False, True):
+            a = succ[v][u] if mirror else succ[u][v]
+            r = 0
+            if c and clean[u * n + a]:
+                k = v * n + a
+                if k not in clean:
+                    clean[k] = clean[a * n + v] = len(succ[v].keys() & succ[a]) == 2
+                r = deg[a] if clean[k] else 0
+            ranked.append((mirror, u, v, r))
     f = min((r for *_, r in ranked if r), default=0)
-    return [(rot, u, v) for rot, u, v, r in ranked if r <= f]
+    return [(m, u, v) for m, u, v, r in ranked if r <= f]
 
 
 def _min_code(K: SimplicialSphere) -> tuple[list[int], int, list[list[int]]]:
     """The least code over all starts that can win, and the labelings that reach it.
 
     Returns the code as packed ints (see :func:`_start_code`), their
-    field width ``s`` and, in :func:`_starts` order, the labeling of every
-    start whose code equals it; the first is the winner's.
+    width ``s`` and the tying labelings in :func:`_starts` order, winner's first.
     """
     n = K.n
+    succ = _rotations(K)
     s = max(1, (n - 1).bit_length())
     best = None
     labels = []
-    for rot, u, v in _starts(K):
-        found = _start_code(n, rot, u, v, s, best)
+    for mirror, u, v in _starts(K):
+        found = _start_code(n, succ, mirror, u, v, s, best)
         if found is not None:
             if found[0] is not best:
                 best, labels = found[0], []
@@ -178,10 +183,9 @@ def canonical_automorphisms(K: SimplicialSphere) -> tuple[tuple[int, ...], ...]:
     Each element ``p`` maps canonical label ``x`` to ``p[x]`` and maps the
     faces of :func:`canonical_sphere` onto themselves; orientation-reversing
     ones are included.  For a canonically labeled sphere, such as a Hasse
-    node's, this is the group of ``K`` itself.  It costs one search, the
-    one behind :func:`canonical_form`: each start that ties the winner
-    gives one element, ``p[best[x]] = label[x]`` for the winner's labeling
-    ``best``.
+    node's, this is the group of ``K`` itself.  Each start of the search
+    that ties the winner gives one element, ``p[best[x]] = label[x]`` for
+    the winner's labeling ``best``.
     """
     n = K.n
     *_, (best, *ties) = _min_code(K)

@@ -34,6 +34,7 @@ from .sphere import (
     SimplicialSphere,
     _compacted,
     _contract_rotations,
+    _rotations,
     from_faces,
     octahedron,
 )
@@ -88,7 +89,7 @@ def contract_mapped(K: SimplicialSphere, e) -> tuple[SimplicialSphere, tuple[int
     labels are compacted to 0..n-2.
     """
     u, v = _norm_edge(K, e)
-    succ = [dict(K.rotation(x)) for x in range(K.n)]
+    succ = [dict(r) for r in _rotations(K)]
     alive = list(range(K.n))
     relabel = _contract_step(succ, alive, u, v).relabel
     return _compacted(succ, alive), relabel
@@ -170,7 +171,7 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     """
     if not is_flag(K):
         raise NotFlag(f"sphere on {K.n} vertices is not flag")
-    succ = [dict(K.rotation(x)) for x in range(K.n)]
+    succ = [dict(r) for r in _rotations(K)]
     alive = list(range(K.n))
     steps = []
     while len(alive) > 6:

@@ -303,6 +303,14 @@ def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:
     return SimplicialSphere(n, tuple(faces), succ, _token=_INTERNAL)
 
 
+def _rotations(K: SimplicialSphere) -> tuple[dict[int, int], ...]:
+    """The stored successor maps of ``K``, indexed by vertex; shared, not copied.
+
+    For the package's hot loops only: callers must not change the maps.
+    """
+    return K._succ
+
+
 def _contract_rotations(succ: list[dict[int, int]], u: int, v: int) -> None:
     """Contract the edge {u, v} onto ``u`` in the rotation system ``succ``, unchecked.
 

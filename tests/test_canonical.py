@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagsphere as fs
+from flagsphere import canonical
 
 OCTAHEDRON_FORM_HEX = "d0d52e084703f5de0e9ae69e38ca6a1c878aa4d4fb386d44747afc82914b785e"
 # search_digest of the graph11 nodes (in node order) and of corpus10
@@ -227,3 +228,73 @@ def test_search_results_are_pinned(graph11, corpus10):
     drop only starts that can neither win nor tie, so it changes neither."""
     assert search_digest(node.sphere for node in graph11.nodes.values()) == GRAPH11_SEARCH_DIGEST
     assert search_digest(corpus10) == CORPUS10_SEARCH_DIGEST
+
+
+def plain_min_code(K):
+    """The least code and the set of labelings that reach it, by plain search.
+
+    Every start from a minimum-degree root, in both directions, the
+    mirror one through ``K.rotation(x, reverse=True)``, each walked over
+    all n vertices with no start rule and no early stop.
+    """
+    n = K.n
+    d = min(map(len, K.adjacency))
+    rotations = [[K.rotation(x, reverse) for x in range(n)] for reverse in (False, True)]
+    best, ties = None, set()
+    for u in range(n):
+        if len(K.adjacency[u]) != d:
+            continue
+        for v in K.rotation(u):
+            for rot in rotations:
+                label = [-1] * n
+                label[u], label[v] = 0, 1
+                order = [u, v]
+                ref = {u: v, v: u}
+                for x in order:
+                    t = ref[x]
+                    for _ in range(len(rot[x]) - 1):
+                        t = rot[x][t]
+                        if label[t] < 0:
+                            label[t] = len(order)
+                            ref[t] = x
+                            order.append(t)
+                code = sorted(tuple(sorted(label[w] for w in f)) for f in K.faces)
+                if best is None or code < best:
+                    best, ties = code, set()
+                if code == best:
+                    ties.add(tuple(label))
+    return best, ties
+
+
+def assert_search_matches_plain_search(K):
+    code, s, labels = canonical._min_code(K)
+    mask = (1 << s) - 1
+    best, ties = plain_min_code(K)
+    assert [(c >> 2 * s, c >> s & mask, c & mask) for c in code] == best
+    for label in labels:
+        assert sorted(label) == list(range(K.n))
+    assert len(labels) == len(ties)
+    assert {tuple(label) for label in labels} == ties
+
+
+def test_mirror_walk_reads_the_forward_rotation(corpus10):
+    """The orientation is consistent, so t's predecessor round x is rot[t][x]."""
+    for K in corpus10:
+        for x in range(K.n):
+            for t, p in K.rotation(x, reverse=True).items():
+                assert K.rotation(t)[x] == p
+
+
+def test_search_matches_plain_search_on_corpus_and_graph11(corpus10, graph11):
+    for K in corpus10:
+        assert_search_matches_plain_search(K)
+    for node in graph11.nodes.values():
+        assert_search_matches_plain_search(node.sphere)
+
+
+@pytest.mark.parametrize("seed,n", [(1, 30), (2, 47), (3, 64), (4, 81), (5, 100)])
+def test_search_matches_plain_search_on_relabeled_flag_spheres(
+    random_flag_sphere, relabel, seed, n
+):
+    K = shuffled(random_flag_sphere(seed, n), relabel, random.Random(seed))
+    assert_search_matches_plain_search(K)

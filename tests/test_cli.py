@@ -141,6 +141,22 @@ def test_verify_cert_rejects_garbage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERR FORMAT:")
 
 
+@pytest.mark.parametrize("steps", [None, {}, "[]"], ids=["missing", "object", "string"])
+def test_verify_cert_rejects_steps_that_are_not_a_list(s7, tmp_path, capsys, steps):
+    obj = json.loads(fs.certificate_to_json(fs.reduce_to_octahedron(s7)))
+    if steps is None:
+        del obj["steps"]
+    else:
+        obj["steps"] = steps
+    text = json.dumps(obj)
+    with pytest.raises(fs.FormatError, match="^certificate steps must be a list$"):
+        fs.certificate_from_json(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["verify-cert", str(path)]) == 1
+    assert capsys.readouterr().err == "ERR FORMAT: certificate steps must be a list\n"
+
+
 def test_expand(tri, octa, capsys):
     assert run(["expand", tri(octa)]) == 0
     assert capsys.readouterr().out == "bound: 12\nexpansions: 12\n"
