@@ -20,6 +20,9 @@ labeled one would be a third common neighbour of ua or va) and the
 other apex of ua (labeled 3), so the first entry that begins with 2 is
 (2,3,d+e+deg a-7): only the starts of least deg a can win.  A start not
 clean where a rule asks (only on a non-flag sphere) is always tried.
+The ua test decides only at minimum degree 5: if uv and va are clean, a
+third common neighbour z of ua makes uaz a separating triangle with v
+and uv's other apex on one side and a neighbour of u on the other.
 Each rule drops only starts that lose to a kept one, so the code and
 its tying starts, in order, are unchanged.  And once the vertex labeled
 i is dequeued, its faces whose other labels both exceed i are known:

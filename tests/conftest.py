@@ -93,8 +93,10 @@ def random_flag_sphere():
     return grow
 
 
-def _icosahedron_minus_face(a, b, c, first):
-    """Icosahedron faces minus one, its boundary on a, b, c, new vertices from ``first``."""
+def _icosahedron_minus(removed, name, first):
+    """Icosahedron faces minus ``removed``; vertex x becomes ``name[x]`` or,
+    if unnamed, the next new vertex from ``first``.  Top 0, upper ring 1-5,
+    lower ring 6-10, bottom 11."""
     upper = [1 + i for i in range(5)]
     lower = [6 + i for i in range(5)]
     faces = []
@@ -106,13 +108,25 @@ def _icosahedron_minus_face(a, b, c, first):
             (upper[j], lower[i], lower[j]),
             (11, lower[i], lower[j]),
         ]
-    faces.remove((0, upper[0], upper[1]))
-    name = {0: a, upper[0]: b, upper[1]: c}
+    for f in removed:
+        faces.remove(f)
+    name = dict(name)
     for x in range(12):
         if x not in name:
             name[x] = first
             first += 1
     return [tuple(name[x] for x in f) for f in faces]
+
+
+def _icosahedron_minus_face(a, b, c, first):
+    """Icosahedron faces minus one, its boundary on a, b, c, new vertices from ``first``."""
+    return _icosahedron_minus([(0, 1, 2)], {0: a, 1: b, 2: c}, first)
+
+
+def _icosahedron_minus_edge(a, b, p, q, first):
+    """Icosahedron faces minus edge ab and its faces abp and abq, so its
+    boundary is the 4-cycle a-p-b-q; new vertices from ``first``."""
+    return _icosahedron_minus([(0, 1, 2), (0, 5, 1)], {0: a, 1: b, 2: p, 5: q}, first)
 
 
 @pytest.fixture(scope="session")
@@ -128,3 +142,18 @@ def sphere24():
     faces += _icosahedron_minus_face(v, x, z, 6)
     faces += _icosahedron_minus_face(w, y, z, 15)
     return fs.from_faces(24, faces)
+
+
+@pytest.fixture(scope="session")
+def sphere23():
+    """An n = 23 sphere of minimum degree 5 where the edge 0-1 at root 0 has
+    a third common neighbour, 2: 0-1-2 is a separating triangle.
+
+    Root 0's link is 1, 4, 5, 2, 3.  The quad 1-4-5-2 holds an icosahedron
+    minus the edge 4-2 (apexes 5 and 1), and the triangle 1-2-3 an
+    icosahedron minus one face.
+    """
+    faces = [(0, 1, 4), (0, 4, 5), (0, 5, 2), (0, 2, 3), (0, 3, 1)]
+    faces += _icosahedron_minus_edge(4, 2, 5, 1, 6)
+    faces += _icosahedron_minus_face(1, 2, 3, 14)
+    return fs.from_faces(23, faces)

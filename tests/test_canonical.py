@@ -223,6 +223,25 @@ def test_starts_keep_label_2_edges_with_extra_common_neighbours(relabel):
         assert fs.canonical_form(image) == reference_form(image) == form
 
 
+def test_starts_keep_label_2_starts_whose_ua_has_a_third_common_neighbour(sphere23):
+    """The deg a rule asks ua to be clean too, not only uv and va.
+
+    The start 0->4 labels a = 1 with 2; 0-4 and 4-1 are clean but 0-1 has
+    a third common neighbour, 2, so the start is kept whatever deg a is.
+    With uv and va clean this needs u on a separating triangle u-a-z with
+    neighbours of u on both sides, so deg u = 5 and no sphere of minimum
+    degree below 5 has such a start.
+    """
+    K = sphere23
+    adj = K.adjacency
+    assert min(map(len, adj)) == 5 and len(adj[0]) == 5
+    assert K.rotation(0)[4] == 1
+    assert adj[0] & adj[4] == {1, 5} and len(adj[4] & adj[1]) == 2
+    assert adj[0] & adj[1] == {2, 3, 4}
+    assert (False, 0, 4) in canonical._starts(K)
+    assert_search_matches_plain_search(K)
+
+
 def test_search_results_are_pinned(graph11, corpus10):
     """Forms and automorphism tuples, in order, are pinned: a start filter may
     drop only starts that can neither win nor tie, so it changes neither."""

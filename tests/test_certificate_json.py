@@ -45,3 +45,16 @@ def test_hub_heavy_certificate_matches_reference(random_flag_sphere):
     # the greedy merges into label 0 again and again, growing a hub there
     assert sum(s.edge[0] == 0 for s in cert.steps) >= len(cert.steps) // 5
     assert_written_as_reference(cert)
+
+
+def test_empty_relabel_is_written_as_the_reference(s7):
+    """A step read with ``"relabel": []`` is written as ``json.dumps`` writes
+    it, and the verifier refuses it."""
+    obj = json.loads(fs.certificate_to_json(fs.reduce_to_octahedron(s7)))
+    obj["steps"][0]["relabel"] = []
+    cert = fs.certificate_from_json(json.dumps(obj))
+    assert cert.steps[0].relabel == ()
+    assert fs.certificate_to_json(cert) == json.dumps(obj, indent=2) + "\n"
+    check = fs.verify_certificate(cert)
+    assert not check
+    assert check.reason == "step 0: recorded relabeling does not match replay"

@@ -1,0 +1,237 @@
+"""Time the canonical search and the certified reduction on one library tree, or pair two.
+
+Canonical rows.  ``n=N`` takes every flag split (not one per orbit) of
+each class on N - 1 vertices, for N = 12 and 13.  ``build(N)`` counts the
+searches ``build`` makes (one ``canonical_form`` per split orbit, one
+``canonical_automorphisms`` per parent, on a separate untimed build).
+``large`` takes the seed-1 spheres of the benchmark's ``large`` workload
+(``bench/inputs.py``: n = 100, 150 x 3, 200, each with a relabeled copy).
+Each row reports the inputs, the starts the search tries
+(``len(canonical._starts(K))`` summed) and the microseconds per
+``canonical_form`` call (for ``build`` rows, its seconds).
+
+Certificate rows.  The seed-1 sphere at n = 200, 400, 800 and 1600 goes
+through ``reduce_to_octahedron``, ``certificate_to_json``,
+``certificate_from_json``, ``verify_certificate`` and the
+``python -m flagsphere verify-cert`` command (start-up included), each
+timed in seconds.
+
+Every time is the least of ``REPEATS`` passes.  ``--src`` names the
+library tree (default: ``src/`` of this checkout).  Given twice, both
+trees are loaded into this process under their own module names and
+each row times them in alternating rounds: first then second, then
+second then first.  The second tree's row adds ``won``, the rounds in
+which its pass took less time than the first tree's.
+
+A run fails, naming the row, unless ``build``'s level counts and each
+``n=N`` row's distinct forms match OEIS A007021, each large sphere shares
+its form with its relabeled copy, and every certificate has n - 6 steps,
+round-trips through JSON byte for byte and verifies.  Two trees must
+also give the same forms, the same ``export_json`` of each ``build(N)``
+and byte-identical certificate JSON.
+
+    python3 tools/timings.py                                # levels 12 and 13
+    python3 tools/timings.py --max-n 12
+    python3 tools/timings.py --src PARENT/src --src src --out BENCH_canonical.json
+
+Each row prints one line of ``key=value`` pairs per tree, led by the
+tree's ``src`` when there are two.  ``--out`` appends one record per
+tree, named by its ``--src`` path, with the machine and the Python
+version, to the ``runs`` list of a JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+LARGE_SIZES = (100, 150, 150, 150, 200)
+CERT_SIZES = (200, 400, 800, 1600)
+A007021 = {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25, 12: 87, 13: 313}
+LEVELS = (12, 13)
+REPEATS = 4
+
+
+def machine() -> str:
+    model = platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return f"{model}, {os.cpu_count()} logical CPUs, {platform.system()}"
+
+
+def load(src: str, name: str):
+    """The ``flagsphere`` package under ``src``, imported as module ``name``.
+
+    Every import inside the package is relative, so two trees load side by side.
+    """
+    path = os.path.join(os.path.abspath(src), "flagsphere")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def clock(times: dict, key: str, call):
+    """``call()``, with its wall time in seconds stored as ``times[key]``."""
+    t = time.perf_counter()
+    out = call()
+    times[key] = time.perf_counter() - t
+    return out
+
+
+def paired(count: int, one_pass):
+    """``REPEATS`` rounds of ``one_pass(i, times)`` for each tree i, in alternating order.
+
+    ``one_pass`` returns a result and clocks its stages into ``times``.
+    Returns each tree's least time per stage and last result, and the
+    rounds in which the last tree's stages took less time in all than the
+    first's.
+    """
+    best = [{} for _ in range(count)]
+    results = [None] * count
+    won = 0
+    for r in range(REPEATS):
+        took = [0.0] * count
+        for i in range(count) if r % 2 == 0 else reversed(range(count)):
+            times = {}
+            results[i] = one_pass(i, times)
+            took[i] = sum(times.values())
+            for key, t in times.items():
+                best[i][key] = min(t, best[i].get(key, t))
+        won += took[-1] < took[0]
+    return best, results, won
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", help="library tree; give two to pair them")
+    ap.add_argument("--max-n", type=int, default=13, choices=LEVELS)
+    ap.add_argument("--out", help="JSON file to append this run to")
+    args = ap.parse_args()
+    names = args.src or [os.path.relpath(os.path.join(ROOT, "src"))]
+    if len(names) > 2:
+        ap.error("--src may be given at most twice")
+    trees = [load(src, f"flagsphere_{i}") for i, src in enumerate(names)]
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from inputs import flag_sphere_texts
+
+    rows = [[] for _ in trees]
+
+    def row(name, one_pass, key, fields):
+        """Time ``one_pass`` on each tree, then print and keep ``fields(i, least, result)``.
+
+        Returns each tree's result.  Fails unless ``key(i, result)`` agrees across trees.
+        """
+        least, results, won = paired(len(trees), one_pass)
+        if len({key(i, result) for i, result in enumerate(results)}) > 1:
+            raise SystemExit(f"{name}: {names[0]} and {names[1]} differ")
+        for i in range(len(trees)):
+            rows[i].append(fields(i, least[i], results[i]) | ({"won": won} if i else {}))
+            lead = f"src={names[i]} " if len(trees) > 1 else ""
+            print(lead + " ".join(f"{k}={v}" for k, v in rows[i][-1].items()), flush=True)
+        return results
+
+    def forms_row(name, spheres):
+        """``canonical_form`` on each tree's ``spheres[i]``; the first tree's forms."""
+        def one_pass(i, times):
+            return clock(times, "s", lambda: [trees[i].canonical_form(K) for K in spheres[i]])
+
+        def fields(i, least, forms):
+            return {"inputs": name, "calls": len(forms), "distinct_forms": len(set(forms)),
+                    "starts": sum(len(trees[i].canonical._starts(K)) for K in spheres[i]),
+                    "us_per_call": round(least["s"] / len(forms) * 1e6, 1)}
+        return row(name, one_pass, lambda i, forms: tuple(forms), fields)[0]
+
+    def build_row(level):
+        """``build(level)`` on each tree; the graphs."""
+        def one_pass(i, times):
+            return clock(times, "s", lambda: trees[i].build(level))
+
+        def fields(i, least, G):
+            hasse, searched = trees[i].hasse, []
+            saved = hasse.canonical_form, hasse.canonical_automorphisms
+            hasse.canonical_form, hasse.canonical_automorphisms = (
+                lambda K, search=search: searched.append(K) or search(K) for search in saved)
+            try:
+                trees[i].build(level)
+            finally:
+                hasse.canonical_form, hasse.canonical_automorphisms = saved
+            return {"inputs": f"build({level})", "calls": len(searched),
+                    "starts": sum(len(trees[i].canonical._starts(K)) for K in searched),
+                    "seconds": round(least["s"], 4)}
+        return row(f"build({level})", one_pass, lambda i, G: trees[i].export_json(G), fields)
+
+    def cert_row(n, tmp):
+        """The certificate stages at ``n`` on each tree, writing under ``tmp``."""
+        spheres = [fs.parse_tri(flag_sphere_texts([n], SEED)[0][0]) for fs in trees]
+
+        def one_pass(i, times):
+            fs = trees[i]
+            cert = clock(times, "reduce_s", lambda: fs.reduce_to_octahedron(spheres[i]))
+            text = clock(times, "to_json_s", lambda: fs.certificate_to_json(cert))
+            back = clock(times, "from_json_s", lambda: fs.certificate_from_json(text))
+            check = clock(times, "verify_s", lambda: fs.verify_certificate(back))
+            path = Path(tmp, f"cert{i}.json")
+            path.write_text(text, encoding="utf-8")
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(names[i]))
+            out = clock(times, "cli_verify_s", lambda: subprocess.run(
+                [sys.executable, "-m", "flagsphere", "verify-cert", str(path)],
+                env=env, capture_output=True, text=True, check=False))
+            return cert, text, back, check, out
+
+        def fields(i, least, result):
+            cert, text, back, check, out = result
+            if len(cert.steps) != n - 6 or back != cert or not check:
+                raise SystemExit(f"n={n}: wrong certificate ({check.reason})")
+            if trees[i].certificate_to_json(back) != text:
+                raise SystemExit(f"n={n}: certificate JSON does not round-trip")
+            if out.returncode != 0 or out.stdout != "certificate: valid\n":
+                raise SystemExit(f"n={n}: verify-cert failed: {out.stderr.strip()}")
+            return {"n": n, **{k: round(t, 3) for k, t in least.items()}, "cert_bytes": len(text)}
+        row(f"n={n}", one_pass, lambda i, result: result[1], fields)
+
+    graphs = [fs.build(min(LEVELS) - 1) for fs in trees]
+    for level in range(min(LEVELS), args.max_n + 1):
+        parents = [[node.sphere for node in G.nodes.values() if node.n == level - 1] for G in graphs]
+        spheres = [[fs.split_vertex(K, spec) for K in Ks for spec in fs.flag_splits(K)]
+                   for fs, Ks in zip(trees, parents)]
+        forms = forms_row(f"n={level}", spheres)
+        if len(set(forms)) != A007021[level]:
+            raise SystemExit(f"n={level}: {len(set(forms))} forms, A007021 has {A007021[level]}")
+        graphs = build_row(level)
+        counts, found = {n: c for n, c in A007021.items() if n <= level}, graphs[0].level_counts()
+        if found != counts:
+            raise SystemExit(f"build({level}): levels {found}, A007021 has {counts}")
+    texts = [text for pair in flag_sphere_texts(LARGE_SIZES, SEED, relabeled_copy=True) for text in pair]
+    forms = forms_row("large", [[fs.parse_tri(text) for text in texts] for fs in trees])
+    if forms[0::2] != forms[1::2]:
+        raise SystemExit("large: a sphere and its relabeled copy have different forms")
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in CERT_SIZES:
+            cert_row(n, tmp)
+
+    if args.out:
+        out = Path(args.out)
+        data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": []}
+        data["runs"] += [{"src": name, "machine": machine(), "python": platform.python_version(),
+                          "rows": tree_rows} for name, tree_rows in zip(names, rows)]
+        out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
