@@ -19,9 +19,8 @@ from .errors import (
     FormatError,
     InternalMinimalityViolation,
     LinkConditionViolated,
-    NotFlag,
 )
-from .flags import _belt_side, _norm_edge, belt_covered_edges, edge_in_belt, is_flag
+from .flags import _belt_side, _norm_edge, _require_flag, belt_covered_edges, edge_in_belt
 from .oracle import (
     ReplayState,
     brute_is_flag,
@@ -102,15 +101,13 @@ def contract(K: SimplicialSphere, e) -> SimplicialSphere:
 
 def is_flag_contractible(K: SimplicialSphere, e) -> bool:
     """For flag ``K``: does contracting ``e`` keep the sphere flag?"""
-    if not is_flag(K):
-        raise NotFlag(f"sphere on {K.n} vertices is not flag")
+    _require_flag(K)
     return not edge_in_belt(K, e)
 
 
 def is_minimal(K: SimplicialSphere) -> bool:
     """True iff no flag-preserving contraction exists (every edge belted)."""
-    if not is_flag(K):
-        raise NotFlag(f"sphere on {K.n} vertices is not flag")
+    _require_flag(K)
     return len(belt_covered_edges(K)) == K.n_edges
 
 
@@ -169,8 +166,7 @@ def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     and it is recognised as the octahedron by its degrees: the only
     triangulated 2-sphere on 6 vertices with every degree 4.
     """
-    if not is_flag(K):
-        raise NotFlag(f"sphere on {K.n} vertices is not flag")
+    _require_flag(K)
     succ = [dict(r) for r in _rotations(K)]
     alive = list(range(K.n))
     steps = []
@@ -289,31 +285,29 @@ def _sphere_from_obj(obj, what: str) -> SimplicialSphere:
     return from_faces(obj["n"], obj["faces"])
 
 
-def _int_list(xs, pad: str) -> str:
-    """``xs`` as ``json.dumps(indent=2)`` writes an int list opened at ``pad``."""
-    if not xs:
-        return "[]"
-    return f"[\n{pad}  " + f",\n{pad}  ".join(map(str, xs)) + f"\n{pad}]"
+def _json_list(items, pad: str) -> str:
+    """The JSON texts ``items`` as ``json.dumps(indent=2)`` writes a list
+    opened at ``pad``: ``[]`` when there are none."""
+    body = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
 
 
 def _sphere_json(K: SimplicialSphere) -> str:
-    faces = ",\n      ".join(_int_list(f, "      ") for f in K.faces)
-    return f'{{\n    "n": {K.n},\n    "faces": [\n      {faces}\n    ]\n  }}'
+    faces = _json_list((_json_list(map(str, f), "      ") for f in K.faces), "    ")
+    return f'{{\n    "n": {K.n},\n    "faces": {faces}\n  }}'
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
     """The certificate as ``json.dumps(obj, indent=2) + "\\n"`` would write it.
 
-    The fixed layout is written directly, one join per int list, since
+    The fixed layout is written directly, one join per list, since
     ``indent`` always selects the pure-Python encoder.
     """
-    steps = "[]"
-    if cert.steps:
-        steps = "[\n    " + ",\n    ".join(
-            f'{{\n      "edge": {_int_list(s.edge, "      ")},'
-            f'\n      "relabel": {_int_list(s.relabel, "      ")}\n    }}'
-            for s in cert.steps
-        ) + "\n  ]"
+    steps = _json_list((
+        f'{{\n      "edge": {_json_list(map(str, s.edge), "      ")},'
+        f'\n      "relabel": {_json_list(map(str, s.relabel), "      ")}\n    }}'
+        for s in cert.steps
+    ), "  ")
     return (
         f'{{\n  "format": "{_CERT_FORMAT}",\n  "version": {_CERT_VERSION},'
         f'\n  "start": {_sphere_json(cert.start)},\n  "steps": {steps},'

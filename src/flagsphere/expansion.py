@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import BadSplitSpec, NotFlag
-from .flags import is_flag
+from .errors import BadSplitSpec
+from .flags import _require_flag
 from .sphere import SimplicialSphere, _split
 
 
@@ -76,8 +76,7 @@ def flag_splits(K: SimplicialSphere) -> Iterator[SplitSpec]:
     non-adjacent neither creates a missing triangle nor a vertex of
     degree 3.
     """
-    if not is_flag(K):
-        raise NotFlag(f"sphere on {K.n} vertices is not flag")
+    _require_flag(K)
     return (
         SplitSpec(w, cyc[i], cyc[j])
         for w in range(K.n)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnEdge
+from .errors import NotAnEdge, NotFlag
 from .sphere import SimplicialSphere
 
 
@@ -57,6 +57,12 @@ def is_flag(K: SimplicialSphere) -> bool:
     if any(K.degree(v) < 4 for v in range(K.n)):
         return False
     return not missing_triangles(K)
+
+
+def _require_flag(K: SimplicialSphere) -> None:
+    """Raise NotFlag unless ``K`` is flag."""
+    if not is_flag(K):
+        raise NotFlag(f"sphere on {K.n} vertices is not flag")
 
 
 def belts(K: SimplicialSphere) -> tuple[Belt, ...]:

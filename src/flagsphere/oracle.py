@@ -3,7 +3,8 @@
 Everything here favors the most literal possible reading of each
 definition over speed, so the fast paths elsewhere in the package can be
 validated against it.  The only shared machinery is the core sphere type
-with its fully validating constructor and the Belt value container.
+with its fully validating constructor, that constructor's link walk
+``_link_walk``, and the Belt value container.
 Vertex splits are written out here as face lists and every result is
 revalidated from scratch; belt search, flagness, and isomorphism are
 reimplemented from their definitions.
@@ -12,12 +13,13 @@ reimplemented from their definitions.
 certificate verifier uses local readings of the same definitions
 instead: ``clique_is_flag`` lists the cliques of the start's edge graph,
 ``clique_is_flag_at`` only those through the merged vertex of a step,
-and ``edge_belts`` applies the 4-set belt test only to the 4-sets through
-one edge.  None uses the degree or two-apex theorems of the fast path,
-and the brute scans stay as their test oracle.  The verifier's other
+both by one lister, and ``edge_belts`` applies the 4-set belt test only
+to the 4-sets through one edge.  None uses the degree or two-apex
+theorems of the fast path, and the brute scans stay as their test
+oracle.  The verifier's other
 shared machinery is ``ReplayState``, a sphere contracted in place in its
 start's labels, which checks the sphere conditions at the vertices that
-each contraction touches.
+each contraction touches, each link by ``_link_walk``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations, permutations
 
 from .errors import BudgetTooLarge, BudgetTooSmall, NotAnEdge, TooLarge
 from .flags import Belt
-from .sphere import Face, SimplicialSphere, from_faces, tetrahedron
+from .sphere import Face, SimplicialSphere, _link_walk, from_faces, tetrahedron
 
 _ISO_LIMIT = 9
 _ENUMERATION_LIMIT = 11
@@ -98,46 +100,42 @@ def edge_belts(K: SimplicialSphere, u: int, v: int) -> set[Belt]:
     return {belt for belt in found if belt is not None}
 
 
+def _cliques_ok(K, adj, u: int, above: int) -> bool:
+    """Whether every 3-clique {u, b, c} with ``above`` < b < c is a face of
+    ``K`` and lies in no 4-clique, which cannot span a simplex.
+
+    Lists each such clique once from a neighbor b of u and a common
+    neighbor c; any vertex adjacent to all three closes a 4-clique.
+    """
+    nu = adj[u]
+    for b in nu:
+        if b > above:
+            common = nu & adj[b]
+            for c in common:
+                if c > b and (not K.has_face((u, b, c)) or common & adj[c]):
+                    return False
+    return True
+
+
 def clique_is_flag(K: SimplicialSphere) -> bool:
     """Clique-listing flag test: every clique of the 1-skeleton spans a simplex.
 
-    Lists each 3-clique once as a < b < c from an edge (a, b) and a common
-    neighbor c, and fails if it is not a face or if some d > c is
-    adjacent to all three (a 4-clique, which cannot span a simplex).
-    Every 4-clique a < b < c < d is met this way at its triple (a, b, c).
+    Lists each 3-clique once as a < b < c, from its smallest vertex a, and
+    fails if it is not a face or if some d is adjacent to all three (a
+    4-clique).  Every 4-clique is met this way at its three smallest
+    vertices.
     """
     adj = K.adjacency
-    for a in range(K.n):
-        for b in adj[a]:
-            if b < a:
-                continue
-            common = adj[a] & adj[b]
-            for c in common:
-                if c < b:
-                    continue
-                if not K.has_face((a, b, c)):
-                    return False
-                if any(d > c for d in common & adj[c]):
-                    return False
-    return True
+    return all(_cliques_ok(K, adj, a, a) for a in range(K.n))
 
 
 def clique_is_flag_at(K, u: int) -> bool:
     """:func:`clique_is_flag` for the cliques through ``u`` only.
 
-    Lists each 3-clique {u, b, c} once, b < c, from a neighbor b and a
-    common neighbor c, and fails if it is not a face or if some d is
-    adjacent to all three.  After a contraction onto ``u`` of a flag
-    sphere, every other clique was a clique before, so this decides flagness.
+    After a contraction onto ``u`` of a flag sphere, every other clique
+    was a clique before, so this decides flagness.
     """
-    adj = K.adjacency
-    nu = adj[u]
-    for b in nu:
-        common = nu & adj[b]
-        for c in common:
-            if c > b and (not K.has_face((u, b, c)) or common & adj[c]):
-                return False
-    return True
+    return _cliques_ok(K, K.adjacency, u, -1)
 
 
 def _edge(a: int, b: int) -> tuple[int, int]:
@@ -211,14 +209,8 @@ class ReplayState:
         """Whether the faces at ``x`` close up, face to face, into one cycle
         through all of x's neighbors; every edge at ``x`` lies in two faces."""
         apex, nbrs = self.apex, self.adjacency[x]
-        y = first = min(nbrs)
-        w = apex[_edge(x, y)][0]
-        seen = set()
-        while y not in seen:
-            seen.add(y)
-            a, b = apex[_edge(x, y)]
-            w, y = y, (b if a == w else a)
-        return y == first and len(seen) == len(nbrs)
+        y = min(nbrs)
+        return len(_link_walk(apex, x, apex[_edge(x, y)][0], y)) == len(nbrs)
 
     def faces(self) -> tuple[Face, ...]:
         """The faces in current labels, sorted, as :attr:`SimplicialSphere.faces`."""

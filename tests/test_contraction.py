@@ -129,6 +129,23 @@ def test_reduce_rejects_non_flag(tetra):
         fs.reduce_to_octahedron(tetra)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        fs.reduce_to_octahedron,
+        fs.is_minimal,
+        lambda K: fs.is_flag_contractible(K, (0, 1)),
+        fs.flag_splits,  # raises at the call, before any split is iterated
+    ],
+    ids=["reduce_to_octahedron", "is_minimal", "is_flag_contractible", "flag_splits"],
+)
+def test_flag_guard_names_the_vertex_count(call, tetra, bipyramid):
+    for K in (tetra, bipyramid):
+        with pytest.raises(fs.NotFlag) as info:
+            call(K)
+        assert str(info.value) == f"sphere on {K.n} vertices is not flag"
+
+
 def test_verify_rejects_tampered_edge(s7):
     cert = fs.reduce_to_octahedron(s7)
     bad = fs.ContractionCertificate(

@@ -28,7 +28,9 @@ A run fails, naming the row, unless ``build``'s level counts and each
 its form with its relabeled copy, and every certificate has n - 6 steps,
 round-trips through JSON byte for byte and verifies.  Two trees must
 also give the same forms, the same ``export_json`` of each ``build(N)``
-and byte-identical certificate JSON.
+and byte-identical certificate JSON.  An exception in a tree, from
+loading it to the last row, ends the run with one line naming the stage
+and the tree.
 
     python3 tools/timings.py                                # levels 12 and 13
     python3 tools/timings.py --max-n 12
@@ -125,7 +127,19 @@ def main() -> int:
     names = args.src or [os.path.relpath(os.path.join(ROOT, "src"))]
     if len(names) > 2:
         ap.error("--src may be given at most twice")
-    trees = [load(src, f"flagsphere_{i}") for i, src in enumerate(names)]
+
+    def guard(stage, i, call):
+        """``call()``; an exception ends the run with one line naming ``stage`` and tree ``i``."""
+        try:
+            return call()
+        except Exception as exc:
+            raise SystemExit(f"{stage}: {names[i]}: {type(exc).__name__}: {exc}") from None
+
+    def per_tree(stage, call):
+        """``call(i)`` for each tree i, each under :func:`guard`."""
+        return [guard(stage, i, lambda: call(i)) for i in range(len(names))]
+
+    trees = per_tree("load", lambda i: load(names[i], f"flagsphere_{i}"))
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from inputs import flag_sphere_texts
 
@@ -136,11 +150,13 @@ def main() -> int:
 
         Returns each tree's result.  Fails unless ``key(i, result)`` agrees across trees.
         """
-        least, results, won = paired(len(trees), one_pass)
+        least, results, won = paired(
+            len(trees), lambda i, times: guard(name, i, lambda: one_pass(i, times)))
         if len({key(i, result) for i, result in enumerate(results)}) > 1:
             raise SystemExit(f"{name}: {names[0]} and {names[1]} differ")
         for i in range(len(trees)):
-            rows[i].append(fields(i, least[i], results[i]) | ({"won": won} if i else {}))
+            kept = guard(name, i, lambda: fields(i, least[i], results[i]))
+            rows[i].append(kept | ({"won": won} if i else {}))
             lead = f"src={names[i]} " if len(trees) > 1 else ""
             print(lead + " ".join(f"{k}={v}" for k, v in rows[i][-1].items()), flush=True)
         return results
@@ -177,7 +193,8 @@ def main() -> int:
 
     def cert_row(n, tmp):
         """The certificate stages at ``n`` on each tree, writing under ``tmp``."""
-        spheres = [fs.parse_tri(flag_sphere_texts([n], SEED)[0][0]) for fs in trees]
+        text = flag_sphere_texts([n], SEED)[0][0]
+        spheres = per_tree(f"n={n}", lambda i: trees[i].parse_tri(text))
 
         def one_pass(i, times):
             fs = trees[i]
@@ -204,12 +221,13 @@ def main() -> int:
             return {"n": n, **{k: round(t, 3) for k, t in least.items()}, "cert_bytes": len(text)}
         row(f"n={n}", one_pass, lambda i, result: result[1], fields)
 
-    graphs = [fs.build(min(LEVELS) - 1) for fs in trees]
+    graphs = per_tree(f"build({min(LEVELS) - 1})", lambda i: trees[i].build(min(LEVELS) - 1))
     for level in range(min(LEVELS), args.max_n + 1):
-        parents = [[node.sphere for node in G.nodes.values() if node.n == level - 1] for G in graphs]
-        spheres = [[fs.split_vertex(K, spec) for K in Ks for spec in fs.flag_splits(K)]
-                   for fs, Ks in zip(trees, parents)]
-        forms = forms_row(f"n={level}", spheres)
+        def splits(i):
+            fs, G = trees[i], graphs[i]
+            parents = [node.sphere for node in G.nodes.values() if node.n == level - 1]
+            return [fs.split_vertex(K, spec) for K in parents for spec in fs.flag_splits(K)]
+        forms = forms_row(f"n={level}", per_tree(f"n={level}", splits))
         if len(set(forms)) != A007021[level]:
             raise SystemExit(f"n={level}: {len(set(forms))} forms, A007021 has {A007021[level]}")
         graphs = build_row(level)
@@ -217,7 +235,7 @@ def main() -> int:
         if found != counts:
             raise SystemExit(f"build({level}): levels {found}, A007021 has {counts}")
     texts = [text for pair in flag_sphere_texts(LARGE_SIZES, SEED, relabeled_copy=True) for text in pair]
-    forms = forms_row("large", [[fs.parse_tri(text) for text in texts] for fs in trees])
+    forms = forms_row("large", per_tree("large", lambda i: [trees[i].parse_tri(t) for t in texts]))
     if forms[0::2] != forms[1::2]:
         raise SystemExit("large: a sphere and its relabeled copy have different forms")
     with tempfile.TemporaryDirectory() as tmp:
