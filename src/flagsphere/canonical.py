@@ -39,6 +39,14 @@ automorphism maps a minimum-degree root to another, so the ties give the
 whole group, mirrors included; it is built from the tying labelings
 only when asked for.  Every function here is pure: nothing is cached on
 the sphere.
+
+A sphere is tested against a known form without a search of its own:
+only the starts whose u, v and a have the degrees of labels 0, 1 and 2
+in the form are walked, against the form's code, up to the first tie
+(the same class) or the first lower code (another class).  A form index
+buckets one level's forms by an isomorphism invariant and searches only
+the spheres that match none of their bucket, so a Hasse level pays one
+search per class, not per child.
 """
 
 from __future__ import annotations
@@ -148,6 +156,64 @@ def _min_code(K: SimplicialSphere) -> tuple[list[int], int, list[list[int]]]:
                 best, labels = found[0], []
             labels.append(found[1])
     return best, s, labels
+
+
+def _same_class(succ, deg: list[int], form: bytes) -> bool:
+    """Whether the sphere with rotation ``succ`` has the canonical form ``form``.
+
+    Walks, in both directions, only the starts u->v whose u, v and a have
+    the degrees of labels 0, 1 and 2 in ``form``, against its code: the
+    first tie says yes, the first lower code or the last higher one no.
+    Sound: if K ~ R, K's start codes are R's, so none is below R's least
+    code and one with those degrees ties it; a tie relabels K onto R.
+    """
+    n, _, *flat = struct.unpack(f">{len(form) // 4}I", form)
+    if n != len(succ):
+        return False
+    s = max(1, (n - 1).bit_length())
+    code = [x << 2 * s | y << s | z for x, y, z in zip(flat[0::3], flat[1::3], flat[2::3])]
+    d0, d1, d2 = flat.count(0), flat.count(1), flat.count(2)
+    for u in range(n):
+        if deg[u] != d0:
+            continue
+        su = succ[u]
+        for v in su:
+            if deg[v] != d1:
+                continue
+            for mirror, a in ((False, su[v]), (True, succ[v][u])):
+                if deg[a] == d2:
+                    found = _start_code(n, succ, mirror, u, v, s, code)
+                    if found is not None:
+                        return found[0] is code
+    return False
+
+
+class _FormIndex:
+    """Canonical forms of spheres, each new class searched once.
+
+    Known forms sit in buckets keyed by a hash of the sorted pairs
+    (deg v, sum of v's neighbours' degrees), an isomorphism invariant.  A
+    sphere is matched against its bucket's forms (:func:`_same_class`),
+    and only a sphere that matches none pays for :func:`canonical_form`.
+    """
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self):
+        self._buckets: dict[int, list[bytes]] = {}
+
+    def form(self, K: SimplicialSphere) -> bytes:
+        """``canonical_form(K)``; a known class returns its stored form object."""
+        succ = _rotations(K)
+        deg = [len(r) for r in succ]
+        key = hash(tuple(sorted((d, sum(map(deg.__getitem__, r))) for d, r in zip(deg, succ))))
+        bucket = self._buckets.setdefault(key, [])
+        for form in bucket:
+            if _same_class(succ, deg, form):
+                return form
+        form = canonical_form(K)
+        bucket.append(form)
+        return form
 
 
 def encode_face_set(n: int, faces) -> bytes:

@@ -15,8 +15,10 @@ orbit of its splits (w, {a, b}) under its group: the first split of an
 orbit in :func:`flag_splits` order is made and the rest are skipped.
 :func:`build` decodes each parent once, when it splits it; its group is
 :func:`canonical_automorphisms` of that canonical representative, one
-search per parent next to one per child made.  The first split of each
-orbit met its class first, so nodes and arcs are as with every split made.
+search per parent.  A child is matched against the classes of its level
+found so far, and only a child of a new class is searched (see
+``canonical._FormIndex``).  The first split of each orbit met its class
+first, so nodes and arcs are as with every split made.
 
 Two per-node degree bounds hold and are checked by verify_degree_bounds:
 in-degree is at most the number of belt-free edges (each in-arc consumes a
@@ -32,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import (
+    _FormIndex,
     canonical_automorphisms,
     canonical_form,
     decode_form,
@@ -39,6 +42,7 @@ from .canonical import (
     form_hex,
     sphere_from_form,
 )
+from .contraction import _json_list
 from .errors import BudgetTooSmall, FormatError
 from .expansion import expansion_bound, flag_splits, split_vertex
 from .flags import belt_covered_edges, is_flag
@@ -85,6 +89,7 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
     nodes = {f0: HasseNode(f0, 6)}
     arcs = []
     for n in range(6, max_n):
+        index = _FormIndex()
         for parent in [f for f, node in nodes.items() if node.n == n]:
             K = sphere_from_form(parent)
             group = canonical_automorphisms(K)
@@ -98,7 +103,7 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
                     pa, pb = p[a], p[b]
                     seen.add((p[w], pa, pb) if pa < pb else (p[w], pb, pa))
                 child = split_vertex(K, spec)
-                cf = canonical_form(child)
+                cf = index.form(child)
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1)
                 children.add(cf)
@@ -186,22 +191,26 @@ _GRAPH_VERSION = 1
 
 
 def export_json(G: HasseGraph) -> str:
-    """Deterministic JSON rendering; import_json inverts it exactly."""
-    obj = {
-        "format": _GRAPH_FORMAT,
-        "version": _GRAPH_VERSION,
-        "max_n": G.max_n,
-        "nodes": [
-            {
-                "form": form_hex(form),
-                "n": G.nodes[form].n,
-                "faces": [list(f) for f in decode_form(form)[1]],
-            }
-            for form in sorted(G.nodes)
-        ],
-        "arcs": [[form_hex(a), form_hex(b)] for a, b in sorted(G.arcs)],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """Deterministic JSON rendering; import_json inverts it exactly.
+
+    Written as ``json.dumps(obj, indent=2) + "\\n"`` would write it, one
+    join per list, as :func:`certificate_to_json` is.
+    """
+    def node(form):
+        faces = (_json_list(map(str, f), "        ") for f in decode_form(form)[1])
+        return (
+            f'{{\n      "form": "{form_hex(form)}",\n      "n": {G.nodes[form].n},'
+            f'\n      "faces": {_json_list(faces, "      ")}\n    }}'
+        )
+
+    nodes = _json_list(map(node, sorted(G.nodes)), "  ")
+    arcs = _json_list((
+        _json_list((f'"{form_hex(a)}"', f'"{form_hex(b)}"'), "    ") for a, b in sorted(G.arcs)
+    ), "  ")
+    return (
+        f'{{\n  "format": "{_GRAPH_FORMAT}",\n  "version": {_GRAPH_VERSION},'
+        f'\n  "max_n": {G.max_n},\n  "nodes": {nodes},\n  "arcs": {arcs}\n}}\n'
+    )
 
 
 def import_json(text: str) -> HasseGraph:

@@ -207,7 +207,14 @@ class ReplayState:
 
     def _one_link(self, x: int) -> bool:
         """Whether the faces at ``x`` close up, face to face, into one cycle
-        through all of x's neighbors; every edge at ``x`` lies in two faces."""
+        through all of x's neighbors; every edge at ``x`` lies in two faces.
+
+        A guard that never decides :meth:`contract` on a sphere with n > 4.
+        A common neighbour w of u and v other than uv's apexes leaves uw in
+        four faces, which the edge test finds first.  Otherwise the link
+        condition holds (an edge in both links would close a tetrahedron),
+        so the result is a sphere (Dey et al. 1999), and its links are cycles.
+        """
         apex, nbrs = self.apex, self.adjacency[x]
         y = min(nbrs)
         return len(_link_walk(apex, x, apex[_edge(x, y)][0], y)) == len(nbrs)

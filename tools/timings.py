@@ -1,14 +1,16 @@
 """Time the canonical search and the certified reduction on one library tree, or pair two.
 
 Canonical rows.  ``n=N`` takes every flag split (not one per orbit) of
-each class on N - 1 vertices, for N = 12 and 13.  ``build(N)`` counts the
-searches ``build`` makes (one ``canonical_form`` per split orbit, one
-``canonical_automorphisms`` per parent, on a separate untimed build).
-``large`` takes the seed-1 spheres of the benchmark's ``large`` workload
-(``bench/inputs.py``: n = 100, 150 x 3, 200, each with a relabeled copy).
-Each row reports the inputs, the starts the search tries
-(``len(canonical._starts(K))`` summed) and the microseconds per
-``canonical_form`` call (for ``build`` rows, its seconds).
+each class on N - 1 vertices, for N = 12 and 13.  ``large`` takes the
+seed-1 spheres of the benchmark's ``large`` workload (``bench/inputs.py``:
+n = 100, 150 x 3, 200, each with a relabeled copy).  These rows report
+the inputs, the starts the search tries (``len(canonical._starts(K))``
+summed) and the microseconds per ``canonical_form`` call.  ``build(N)``
+rows report its seconds and count, on a separate untimed build, what it
+does: full searches (``canonical._min_code`` calls), tests of a child
+against a known form that matched (``hits``) or not (``misses``;
+``canonical._same_class`` calls, none on a tree without them) and starts
+walked (``canonical._start_code`` calls).
 
 Certificate rows.  The seed-1 sphere at n = 200, 400, 800 and 1600 goes
 through ``reduce_to_octahedron``, ``certificate_to_json``,
@@ -178,17 +180,25 @@ def main() -> int:
             return clock(times, "s", lambda: trees[i].build(level))
 
         def fields(i, least, G):
-            hasse, searched = trees[i].hasse, []
-            saved = hasse.canonical_form, hasse.canonical_automorphisms
-            hasse.canonical_form, hasse.canonical_automorphisms = (
-                lambda K, search=search: searched.append(K) or search(K) for search in saved)
+            canonical = trees[i].canonical
+            kinds = {"_min_code": "searches", "_same_class": None, "_start_code": "starts"}
+            count = dict.fromkeys(("searches", "hits", "misses", "starts"), 0)
+            saved = {name: getattr(canonical, name) for name in kinds if hasattr(canonical, name)}
+
+            def counted(name, call):
+                def wrapper(*args):
+                    out = call(*args)
+                    count[kinds[name] or ("hits" if out else "misses")] += 1
+                    return out
+                return wrapper
+            for name, call in saved.items():
+                setattr(canonical, name, counted(name, call))
             try:
                 trees[i].build(level)
             finally:
-                hasse.canonical_form, hasse.canonical_automorphisms = saved
-            return {"inputs": f"build({level})", "calls": len(searched),
-                    "starts": sum(len(trees[i].canonical._starts(K)) for K in searched),
-                    "seconds": round(least["s"], 4)}
+                for name, call in saved.items():
+                    setattr(canonical, name, call)
+            return {"inputs": f"build({level})", **count, "seconds": round(least["s"], 4)}
         return row(f"build({level})", one_pass, lambda i, G: trees[i].export_json(G), fields)
 
     def cert_row(n, tmp):
