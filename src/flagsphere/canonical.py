@@ -285,8 +285,6 @@ def canonical_sphere(K: SimplicialSphere) -> SimplicialSphere:
 
 def isomorphic(A: SimplicialSphere, B: SimplicialSphere) -> bool:
     """True iff some relabeling maps the faces of ``A`` onto those of ``B``."""
-    if A.n != B.n or A.n_faces != B.n_faces:
-        return False
     if sorted(map(len, A.adjacency)) != sorted(map(len, B.adjacency)):
         return False
     return canonical_form(A) == canonical_form(B)

@@ -107,7 +107,7 @@ def build(max_n: int, jobs: int = 1) -> HasseGraph:
                 if cf not in nodes:
                     nodes[cf] = HasseNode(cf, n + 1)
                 children.add(cf)
-            arcs.extend((parent, nodes[cf].form) for cf in children)
+            arcs.extend((parent, cf) for cf in children)
     # A list, not a set, so that the frozenset is the only hash table of arcs.
     return HasseGraph(max_n, nodes, frozenset(arcs))
 

@@ -174,9 +174,10 @@ class ReplayState:
 
         v's faces are dropped, and those without ``u`` are added back with
         ``v`` renamed ``u``.  Only v's old neighbors get new faces, so only
-        their edges and links are checked: every edge in exactly two faces
-        (an edge or face made twice leaves an edge in four), every link one
-        cycle through all neighbors; then Euler's formula from the counts.
+        their edges and links are checked: no face made twice, every edge in
+        exactly two faces (a common neighbor of u and v other than the edge's
+        apexes leaves an edge in four), every link one cycle through all
+        neighbors; then Euler's formula from the counts.
         """
         adj, apex = self.adjacency, self.apex
         touched = adj[v]
@@ -186,9 +187,11 @@ class ReplayState:
             adj[x].discard(v)
         adj[v] = set()
         self.n_faces -= len(at_v)
+        made_twice = False
         for x, y in at_v:
             apex[x, y].remove(v)
             if u != x and u != y:
+                made_twice |= u in apex[x, y]
                 self.n_faces += 1
                 for a, b, c in ((u, x, y), (u, y, x), (x, y, u)):
                     e = _edge(a, b)
@@ -200,7 +203,8 @@ class ReplayState:
         alive = self.alive
         del alive[bisect_left(alive, v)]
         return (
-            all(len(apex[_edge(x, y)]) == 2 for x in touched for y in adj[x])
+            not made_twice
+            and all(len(apex[_edge(x, y)]) == 2 for x in touched for y in adj[x])
             and all(self._one_link(x) for x in touched)
             and len(alive) - len(apex) + self.n_faces == 2
         )
@@ -209,11 +213,12 @@ class ReplayState:
         """Whether the faces at ``x`` close up, face to face, into one cycle
         through all of x's neighbors; every edge at ``x`` lies in two faces.
 
-        A guard that never decides :meth:`contract` on a sphere with n > 4.
-        A common neighbour w of u and v other than uv's apexes leaves uw in
-        four faces, which the edge test finds first.  Otherwise the link
-        condition holds (an edge in both links would close a tetrahedron),
-        so the result is a sphere (Dey et al. 1999), and its links are cycles.
+        A guard that never decides :meth:`contract` on any sphere: the tests
+        before it do.  A common neighbour w of u and v other than uv's
+        apexes leaves uw in four faces, which the edge test finds.
+        Otherwise, on the tetrahedron, the face test finds the face left
+        twice; on any other sphere the link condition holds, so the result
+        is a sphere (Dey et al. 1999), and its links are cycles.
         """
         apex, nbrs = self.apex, self.adjacency[x]
         y = min(nbrs)

@@ -174,6 +174,23 @@ def test_replay_state_contracts_as_a_rebuild_does(corpus9):
                     fs.from_faces(K.n - 1, state.faces())
 
 
+def test_link_condition_and_replay_agree_with_the_rebuild(corpus10):
+    """Every edge of every sphere with n <= 10, the tetrahedron included:
+    the contracted face list, relabeled to ranks, is a sphere exactly when
+    the link condition holds and exactly when the replay accepts the step."""
+    for K in corpus10:
+        for u, v in K.edges:
+            relabel = tuple(w if w < v else (u if w == v else w - 1) for w in range(K.n))
+            faces = [tuple(relabel[x] for x in f) for f in K.faces if not {u, v} <= set(f)]
+            try:
+                fs.from_faces(K.n - 1, faces)
+                rebuilt = True
+            except fs.NotASphere:
+                rebuilt = False
+            assert fs.link_condition(K, (u, v)) == rebuilt, (K, u, v)
+            assert ReplayState(K).contract(u, v) == rebuilt, (K, u, v)
+
+
 def test_verifier_reports_a_failed_contraction_with_the_rebuild_reason(corpus9):
     """With the flag and belt tests out of the way, a step on an edge that
     fails the link condition is refused with the reason ``from_faces`` gives

@@ -9,8 +9,8 @@ summed) and the microseconds per ``canonical_form`` call.  ``build(N)``
 rows report its seconds and count, on a separate untimed build, what it
 does: full searches (``canonical._min_code`` calls), tests of a child
 against a known form that matched (``hits``) or not (``misses``;
-``canonical._same_class`` calls, none on a tree without them) and starts
-walked (``canonical._start_code`` calls).
+``canonical._same_class`` calls) and starts walked
+(``canonical._start_code`` calls).
 
 Certificate rows.  The seed-1 sphere at n = 200, 400, 800 and 1600 goes
 through ``reduce_to_octahedron``, ``certificate_to_json``,
@@ -183,7 +183,7 @@ def main() -> int:
             canonical = trees[i].canonical
             kinds = {"_min_code": "searches", "_same_class": None, "_start_code": "starts"}
             count = dict.fromkeys(("searches", "hits", "misses", "starts"), 0)
-            saved = {name: getattr(canonical, name) for name in kinds if hasattr(canonical, name)}
+            saved = {name: getattr(canonical, name) for name in kinds}
 
             def counted(name, call):
                 def wrapper(*args):
