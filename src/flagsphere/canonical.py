@@ -12,7 +12,8 @@ predecessor round x, succ[t][x], as the orientation is consistent.
 Four rules skip work without changing that minimum.  Every code begins
 (0,1,2), (0,1,d) for d = deg u, so only roots u of minimum degree can
 win.  Call an edge clean when its only common neighbours are its two
-apexes.  For a clean uv the first entry that begins with 1 is
+apexes, as the link condition asks; on a flag sphere every edge is
+clean.  For a clean uv the first entry that begins with 1 is
 (1,2,d+e-3), e = deg v, so only the starts of least e can win.  Let a
 be labeled 2.  If ua and va are clean too, a's rotation from u runs v,
 the other apex of va (labeled d+e-3), deg a - 4 unlabeled vertices (a

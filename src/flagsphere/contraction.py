@@ -2,11 +2,12 @@
 
 Contracting an edge {u, v} merges its endpoints and deletes the two
 incident triangles.  The result is again a simplicial sphere exactly when
-the link condition holds (the endpoints share only the edge's two apexes,
-and the sphere is not the tetrahedron); it is again flag exactly when the
-edge lies in no belt.  Every flag sphere reduces to the octahedron by
-repeatedly contracting belt-free edges, and the reduction is recorded as a
-replayable certificate.
+the link condition holds (the endpoints have exactly two common
+neighbours, the edge's two apexes, and the sphere is not the
+tetrahedron); it is again flag exactly when the edge lies in no belt.
+Every flag sphere reduces to the octahedron by repeatedly contracting
+belt-free edges, and the reduction is recorded as a replayable
+certificate.
 """
 
 from __future__ import annotations
@@ -40,26 +41,28 @@ from .sphere import (
 )
 
 
-def _link_ok(rot_u, rot_v, u: int, v: int, n: int) -> bool:
+def _link_ok(rot_u, rot_v, n: int) -> bool:
     """:func:`link_condition` from the rotations of u and v on an n-vertex sphere.
 
-    If u and v share only their apexes p and q, and u-p-q and v-p-q are
-    both faces, every edge of uvp, uvq, upq and vpq lies in two of those
-    four faces, which thus close up into a sphere; a sphere is connected,
-    so it is the tetrahedron, on which every edge is such an edge.
+    The two apexes are always common neighbours, so "only the apexes" is
+    "exactly two".  If u and v share only their apexes p and q, and u-p-q
+    and v-p-q are both faces, every edge of uvp, uvq, upq and vpq lies in
+    two of those four faces, which thus close up into a sphere; a sphere
+    is connected, so it is the tetrahedron, on which every edge is such an
+    edge.
     """
-    return n > 4 and rot_u.keys() & rot_v.keys() == {rot_v[u], rot_u[v]}
+    return n > 4 and len(rot_u.keys() & rot_v.keys()) == 2
 
 
 def link_condition(K: SimplicialSphere, e) -> bool:
     """True iff contracting ``e`` yields a simplicial sphere.
 
-    Requires the common neighbors of the endpoints to be exactly the two
-    apexes of the edge's faces, and the sphere not to be the tetrahedron,
-    whose contractions collapse.
+    Requires the endpoints to have exactly two common neighbors, which
+    are then the two apexes of the edge's faces, and the sphere not to be
+    the tetrahedron, whose contractions collapse.
     """
     u, v = _norm_edge(K, e)
-    return _link_ok(K.rotation(u), K.rotation(v), u, v, K.n)
+    return _link_ok(K.rotation(u), K.rotation(v), K.n)
 
 
 def _contract_step(succ, alive: list[int], u: int, v: int) -> CertStep:
@@ -69,7 +72,7 @@ def _contract_step(succ, alive: list[int], u: int, v: int) -> CertStep:
     current label is its rank there, and ``v`` leaves it.  Returns the
     step, edge and relabeling, in current labels.
     """
-    if not _link_ok(succ[u], succ[v], u, v, len(alive)):
+    if not _link_ok(succ[u], succ[v], len(alive)):
         raise LinkConditionViolated(
             f"contracting {{{u}, {v}}} would not produce a simplicial sphere"
         )

@@ -1,4 +1,4 @@
-"""Missing-face detection, flagness, and belt (empty square) enumeration."""
+"""Flagness as an edge test, missing-face listing, and belt (empty square) enumeration."""
 
 from __future__ import annotations
 
@@ -35,8 +35,7 @@ class Belt:
 def missing_triangles(K: SimplicialSphere) -> tuple[tuple[int, int, int], ...]:
     """All 3-cliques of the edge graph that are not faces, sorted.
 
-    Together with the minimum degree this certifies flagness of a
-    2-sphere; see :func:`is_flag`.
+    A listing only: :func:`is_flag` reads flagness off the edges directly.
     """
     adj = K.adjacency
     out = []
@@ -50,13 +49,16 @@ def missing_triangles(K: SimplicialSphere) -> tuple[tuple[int, int, int], ...]:
 def is_flag(K: SimplicialSphere) -> bool:
     """True iff every clique of the 1-skeleton spans a simplex of ``K``.
 
-    On a triangulated 2-sphere this reduces to: no missing triangle and
-    no degree-3 vertex (a degree-3 vertex plus its link triangle is a
-    4-clique that cannot span a 3-simplex in a 2-complex).
+    On a triangulated 2-sphere: iff every degree is at least 4 and the ends
+    of every edge have exactly two common neighbours, its apexes.  A
+    non-face 3-clique uvw makes w a third common neighbour of uv, and
+    conversely.  A 4-clique would then have its four triangles as faces,
+    which close up into the whole sphere: a tetrahedron, of degree 3.  The
+    degree clause comes first, as the cheap exit for most non-flag spheres.
     """
-    if any(K.degree(v) < 4 for v in range(K.n)):
-        return False
-    return not missing_triangles(K)
+    adj = K.adjacency
+    return min(map(len, adj)) > 3 and all(
+        len(nu & adj[v]) == 2 for u, nu in enumerate(adj) for v in nu if u < v)
 
 
 def _require_flag(K: SimplicialSphere) -> None:

@@ -1,6 +1,7 @@
 import pytest
 
 import flagsphere as fs
+from flagsphere.sphere import _split
 
 S7_FACES = {
     (0, 1, 2),
@@ -113,3 +114,22 @@ def test_flag_splits_reject_non_flag_at_the_call(tetra, bipyramid):
     for K in (tetra, bipyramid):
         with pytest.raises(fs.NotFlag):
             fs.flag_splits(K)
+
+
+def test_the_kept_arc_only_names_the_split_ends(graph11, relabel):
+    # _split(K, w, a, b) keeps the arc a..b at w; _split(K, w, b, a) keeps
+    # the other arc there.  The two children differ only by the names of w
+    # and the new vertex, so a child's class does not depend on the choice.
+    count = 0
+    for node in graph11.nodes.values():
+        K = node.sphere
+        if K.n > 10:
+            continue
+        for spec in fs.flag_splits(K):
+            w, a, b = spec.w, spec.a, spec.b
+            swap = [K.n if x == w else w if x == K.n else x for x in range(K.n + 1)]
+            one, other = _split(K, w, a, b), _split(K, w, b, a)
+            assert relabel(one, swap) == other
+            assert fs.split_vertex(K, spec) in (one, other)
+            count += 1
+    assert count == 719

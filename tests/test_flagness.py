@@ -95,3 +95,21 @@ def test_belt_count_is_isomorphism_invariant(s7, relabel):
     assert len(fs.belts(image)) == len(fs.belts(s7))
     mapped = {frozenset(perm[v] for v in b.vertices) for b in fs.belts(s7)}
     assert {b.vertices for b in fs.belts(image)} == mapped
+
+
+def test_flagness_matches_clique_lister_above_n9(random_flag_sphere, sphere23, sphere24):
+    # Contracting a belted edge of a flag sphere turns its belt into a
+    # missing triangle, so every such contraction is non-flag.  Those of
+    # minimum degree 4 or more are decided by the edge clause alone.
+    decided_by_edges = 0
+    for n in (30, 60, 100, 200):
+        K = random_flag_sphere(1, n)
+        assert fs.is_flag(K) and fs.clique_is_flag(K)
+        for e in sorted(fs.belt_covered_edges(K)):
+            C = fs.contract(K, e)
+            assert not fs.is_flag(C) and not fs.clique_is_flag(C)
+            decided_by_edges += min(map(len, C.adjacency)) >= 4
+    assert decided_by_edges > 0
+    for K in (sphere23, sphere24):
+        assert min(map(len, K.adjacency)) == 5
+        assert not fs.is_flag(K) and not fs.clique_is_flag(K)
