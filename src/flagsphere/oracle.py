@@ -19,7 +19,7 @@ theorems of the fast path, and the brute scans stay as their test
 oracle.  The verifier's other
 shared machinery is ``ReplayState``, a sphere contracted in place in its
 start's labels, which checks the sphere conditions at the vertices that
-each contraction touches, each link by ``_link_walk``.
+each contraction touches, each link by ``_link_walk`` on its int edge keys.
 """
 
 from __future__ import annotations
@@ -138,36 +138,37 @@ def clique_is_flag_at(K, u: int) -> bool:
     return _cliques_ok(K, K.adjacency, u, -1)
 
 
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _edge(n: int, a: int, b: int) -> int:
+    return a * n + b if a < b else b * n + a
 
 
 class ReplayState:
     """A sphere contracted in place, edge by edge, in its start's labels.
 
     Holds each vertex's neighbor set (``adjacency``, empty once merged
-    away), the far vertices of the faces at each edge (``apex``), the face
-    count and ``alive``, the surviving start labels in order: current
-    label i is ``alive[i]``.  ``n``, ``adjacency``, ``has_edge`` and
-    ``has_face`` read like a sphere's, in start labels.
+    away), the far vertices of the faces at each edge a < b (``apex``,
+    keyed ``a * n + b`` with the start's ``n``, as :func:`_link_walk`
+    reads it), the face count and ``alive``, the surviving start labels in
+    order: current label i is ``alive[i]``.  ``n``, ``adjacency``,
+    ``has_edge`` and ``has_face`` read like a sphere's, in start labels.
     """
 
     def __init__(self, K: SimplicialSphere):
-        self.n = K.n
+        n = self.n = K.n
         self.adjacency = [set(nbrs) for nbrs in K.adjacency]
-        self.apex: dict[tuple[int, int], list[int]] = {}
+        self.apex: dict[int, list[int]] = {}
         for a, b, c in K.faces:
-            for e, x in (((a, b), c), ((a, c), b), ((b, c), a)):
+            for e, x in ((a * n + b, c), (a * n + c, b), (b * n + c, a)):
                 self.apex.setdefault(e, []).append(x)
         self.n_faces = len(K.faces)
-        self.alive = list(range(K.n))
+        self.alive = list(range(n))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
     def has_face(self, face) -> bool:
         a, b, c = sorted(face)
-        return c in self.apex.get((a, b), ())
+        return c in self.apex.get(a * self.n + b, ())
 
     def contract(self, u: int, v: int) -> bool:
         """Contract the edge {u, v} onto ``u``; whether the result is a sphere.
@@ -179,22 +180,23 @@ class ReplayState:
         apexes leaves an edge in four), every link one cycle through all
         neighbors; then Euler's formula from the counts.
         """
-        adj, apex = self.adjacency, self.apex
+        n, adj, apex = self.n, self.adjacency, self.apex
         touched = adj[v]
-        at_v = [(x, y) for x in touched for y in apex[_edge(v, x)] if x < y]
+        at_v = [(x, y) for x in touched for y in apex[_edge(n, v, x)] if x < y]
         for x in touched:
-            del apex[_edge(v, x)]
+            del apex[_edge(n, v, x)]
             adj[x].discard(v)
         adj[v] = set()
         self.n_faces -= len(at_v)
         made_twice = False
         for x, y in at_v:
-            apex[x, y].remove(v)
+            xy = apex[x * n + y]
+            xy.remove(v)
             if u != x and u != y:
-                made_twice |= u in apex[x, y]
+                made_twice |= u in xy
                 self.n_faces += 1
                 for a, b, c in ((u, x, y), (u, y, x), (x, y, u)):
-                    e = _edge(a, b)
+                    e = _edge(n, a, b)
                     if e not in apex:
                         apex[e] = []
                         adj[a].add(b)
@@ -204,7 +206,7 @@ class ReplayState:
         del alive[bisect_left(alive, v)]
         return (
             not made_twice
-            and all(len(apex[_edge(x, y)]) == 2 for x in touched for y in adj[x])
+            and all(len(apex[_edge(n, x, y)]) == 2 for x in touched for y in adj[x])
             and all(self._one_link(x) for x in touched)
             and len(alive) - len(apex) + self.n_faces == 2
         )
@@ -220,16 +222,18 @@ class ReplayState:
         twice; on any other sphere the link condition holds, so the result
         is a sphere (Dey et al. 1999), and its links are cycles.
         """
-        apex, nbrs = self.apex, self.adjacency[x]
+        n, apex, nbrs = self.n, self.apex, self.adjacency[x]
         y = min(nbrs)
-        return len(_link_walk(apex, x, apex[_edge(x, y)][0], y)) == len(nbrs)
+        return len(_link_walk(apex, n, x, apex[_edge(n, x, y)][0], y)) == len(nbrs)
 
     def faces(self) -> tuple[Face, ...]:
         """The faces in current labels, sorted, as :attr:`SimplicialSphere.faces`."""
+        n = self.n
         rank = {x: i for i, x in enumerate(self.alive)}
         return tuple(sorted(
             (rank[a], rank[b], rank[c])
-            for (a, b), far in self.apex.items()
+            for e, far in self.apex.items()
+            for a, b in (divmod(e, n),)
             for c in far
             if c > b
         ))
@@ -368,8 +372,9 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
     whose contraction is again a sphere, so the reversed splits reach
     every class.  Candidates are bucketed by the sorted multiset of their
     vertices' sorted neighbour degrees and compared within a bucket by
-    :func:`_rotation_isomorphic`.  ``jobs`` is accepted for compatibility
-    and has no effect.
+    :func:`_rotation_isomorphic`: each representative keeps its forward
+    and reversed rotations, a candidate only its forward ones.  ``jobs`` is
+    accepted for compatibility and has no effect.
     """
     if type(max_n) is not int or max_n < 4:
         raise BudgetTooSmall(f"need max_n >= 4, got {max_n!r}")
@@ -381,15 +386,13 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
         buckets: dict[tuple, list] = {}
         for K in levels[-1]:
             for cand in _all_splits(K):
-                adj = cand.adjacency
-                key = tuple(sorted(tuple(sorted(len(adj[w]) for w in nbrs)) for nbrs in adj))
-                reps = buckets.setdefault(key, [])
                 rot = [cand.rotation(v) for v in range(cand.n)]
-                if reps:
-                    ways = (rot, [cand.rotation(v, True) for v in range(cand.n)])
-                    if any(_rotation_isomorphic(ways, rep) for rep in reps):
-                        continue
-                reps.append(rot)
+                deg = [len(r) for r in rot]
+                key = tuple(sorted(tuple(sorted(deg[w] for w in r)) for r in rot))
+                reps = buckets.setdefault(key, [])
+                if any(_rotation_isomorphic(ways, rot) for ways in reps):
+                    continue
+                reps.append((rot, [cand.rotation(v, True) for v in range(cand.n)]))
                 fresh.append(cand)
         levels.append(fresh)
     return [K for level in levels for K in level]

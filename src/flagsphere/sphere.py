@@ -184,12 +184,25 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     ``bad-index`` (including a vertex count that is not a non-negative
     ``int``), ``duplicate-face``, ``edge-degree``, ``link-not-cycle`` (the
     least such vertex), ``euler-fail``, ``disconnected``.  Face 0 is
-    oriented as sorted.
+    oriented as sorted.  Edges a < b are keyed by the int ``a * n + b``.
     """
     if type(n) is not int or n < 0:
         raise NotASphere("bad-index", f"vertex count {n!r} is not a non-negative int")
     norm: list[Face] = []
     for f in faces:
+        # fast path: a tuple of distinct in-range ints; the rest is checked below
+        if type(f) is tuple and len(f) == 3:
+            a, b, c = f
+            if type(a) is type(b) is type(c) is int:
+                if a > b:
+                    a, b = b, a
+                if b > c:
+                    b, c = c, b
+                    if a > b:
+                        a, b = b, a
+                if 0 <= a < b < c < n:
+                    norm.append((a, b, c))
+                    continue
         try:
             raw = tuple(f)
         except TypeError:
@@ -218,22 +231,22 @@ def from_faces(n: int, faces) -> SimplicialSphere:
         raise NotASphere("bad-index", f"vertices {missing}{tail} occur in no face")
 
     # Incidence: the far vertices of the faces at each edge, and the number
-    # and one of the faces at each vertex.
-    apex: dict[tuple[int, int], list[int]] = {}
+    # of faces at each vertex.
+    apex: dict[int, list[int]] = {}
     count = [0] * n
-    at = [0] * n
-    for i, (a, b, c) in enumerate(norm):
-        apex.setdefault((a, b), []).append(c)
-        apex.setdefault((a, c), []).append(b)
-        apex.setdefault((b, c), []).append(a)
+    for a, b, c in norm:
+        an = a * n
+        apex.setdefault(an + b, []).append(c)
+        apex.setdefault(an + c, []).append(b)
+        apex.setdefault(b * n + c, []).append(a)
         count[a] += 1
         count[b] += 1
         count[c] += 1
-        at[a] = at[b] = at[c] = i
     for e, far in apex.items():
         if len(far) != 2:
             raise NotASphere(
-                "edge-degree", f"edge {set(e)} lies in {len(far)} faces (expected 2)"
+                "edge-degree",
+                f"edge {set(divmod(e, n))} lies in {len(far)} faces (expected 2)",
             )
 
     # Orient face 0 = (a, b, c) as sorted, b -> c round a, and walk round
@@ -243,18 +256,19 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     stack = []
     if norm:
         a, b, c = norm[0]
-        succ[a] = _link_walk(apex, a, b, c)
+        succ[a] = _link_walk(apex, n, a, b, c)
         stack.append(a)
     while stack:
         v = stack.pop()
         for x, y in succ[v].items():
             if succ[x] is None:
-                succ[x] = _link_walk(apex, x, y, v)
+                succ[x] = _link_walk(apex, n, x, y, v)
                 stack.append(x)
     for v in range(n):
         rot = succ[v]
         if rot is None:  # not reached: walked again, unoriented, for the check
-            rot = _link_walk(apex, v, *(w for w in norm[at[v]] if w != v))
+            face = next(f for f in norm if v in f)
+            rot = _link_walk(apex, n, v, *(w for w in face if w != v))
         if len(rot) != count[v]:
             raise NotASphere(
                 "link-not-cycle", f"link of vertex {v} is not a single cycle"
@@ -272,16 +286,18 @@ def from_faces(n: int, faces) -> SimplicialSphere:
     return SimplicialSphere(n, tuple(norm), succ, _token=_INTERNAL)
 
 
-def _link_walk(apex, v: int, x: int, y: int) -> dict[int, int]:
+def _link_walk(apex, n: int, v: int, x: int, y: int) -> dict[int, int]:
     """The rotation round ``v`` that maps ``x`` to ``y``, walked along v's link.
 
-    ``apex`` maps each edge to the far vertices of its two faces.  The walk
-    stops where it closes, so it covers only the link cycle through ``x``.
+    ``apex`` maps each edge a < b, keyed ``a * n + b``, to the far vertices
+    of its two faces.  The walk stops where it closes, so it covers only
+    the link cycle through ``x``.
     """
     rot = {}
+    vn = v * n
     while x not in rot:
         rot[x] = y
-        p, q = apex[(v, y) if v < y else (y, v)]
+        p, q = apex[vn + y if v < y else y * n + v]
         x, y = y, (q if p == x else p)
     return rot
 

@@ -211,6 +211,39 @@ def test_link_check_covers_vertices_unreached_from_face_0():
     assert str(exc.value) == "link-not-cycle: link of vertex 4 is not a single cycle"
 
 
+def test_rejection_messages_are_pinned(octa):
+    # one input per reason code and per bad-index variant, with the full text
+    tail = TETRA_FACES[1:]
+    pinch = [tuple(v + 3 if v else 0 for v in f) for f in TETRA_FACES]
+    cases = [
+        (6.0, octa.faces, "bad-index: vertex count 6.0 is not a non-negative int"),
+        (4, [7] + tail, "bad-index: face 7 is not a vertex triple"),
+        (4, [("a", 1, 2)] + tail, "bad-index: face ('a', 1, 2) has a non-integer vertex"),
+        (4, [(0, True, 2)] + tail, "bad-index: face (0, True, 2) has a non-integer vertex"),
+        (4, [(0, 1)] + tail, "bad-index: face (0, 1) is not 3 distinct vertices"),
+        (4, [[0, 1, 2, 3]] + tail, "bad-index: face (0, 1, 2, 3) is not 3 distinct vertices"),
+        (4, [(0, 1, 1)] + tail, "bad-index: face (0, 1, 1) is not 3 distinct vertices"),
+        (4, TETRA_FACES[:3] + [(1, 2, 9)], "bad-index: face (1, 2, 9) out of range 0..3"),
+        (4, [(2, -1, 0)] + tail, "bad-index: face (-1, 0, 2) out of range 0..3"),
+        (5, TETRA_FACES, "bad-index: vertices [4] occur in no face"),
+        (11, TETRA_FACES, "bad-index: vertices [4, 5, 6, 7, 8] and 2 more occur in no face"),
+        (4, [(2, 1, 0)] + TETRA_FACES,
+         "duplicate-face: face (0, 1, 2) given more than once"),
+        (4, tail, "edge-degree: edge {0, 1} lies in 1 faces (expected 2)"),
+        (6, list(octa.faces) + [(1, 4, 5)],
+         "edge-degree: edge {1, 5} lies in 3 faces (expected 2)"),
+        (7, TETRA_FACES + pinch, "link-not-cycle: link of vertex 0 is not a single cycle"),
+        (7, TORUS_FACES, "euler-fail: V-E+F = 7-21+14 = 0 != 2"),
+        (6, RP2_FACES, "euler-fail: V-E+F = 6-15+10 = 1 != 2"),
+        (12, RP2_FACES + [tuple(v + 6 for v in f) for f in RP2_FACES],
+         "disconnected: face graph has 10 unreachable faces"),
+    ]
+    for n, faces, message in cases:
+        with pytest.raises(fs.NotASphere) as exc:
+            fs.from_faces(n, faces)
+        assert str(exc.value) == message
+
+
 def test_from_faces_orients_face_0_as_sorted(corpus9, random_sphere):
     grown = [random_sphere(seed, n) for seed, n in ((1, 12), (2, 30), (3, 60))]
     for K in corpus9 + grown:

@@ -1,4 +1,4 @@
-"""Time the canonical search and the certified reduction on one library tree, or pair two.
+"""Time the canonical search, the oracle, from_faces and the certified reduction, one tree or two.
 
 Canonical rows.  ``n=N`` takes every flag split (not one per orbit) of
 each class on N - 1 vertices, for N = 12 and 13.  ``large`` takes the
@@ -11,6 +11,11 @@ does: full searches (``canonical._min_code`` calls), tests of a child
 against a known form that matched (``hits``) or not (``misses``;
 ``canonical._same_class`` calls) and starts walked
 (``canonical._start_code`` calls).
+
+``from_faces`` reads the face lists of the ``large`` texts and of the
+certificate rows' texts (below) and reports the microseconds per
+``from_faces`` call.  ``enumerate(10)`` reports the seconds of
+``enumerate_all_spheres(10)``, the brute-force oracle.
 
 Certificate rows.  The seed-1 sphere at n = 200, 400, 800 and 1600 goes
 through ``reduce_to_octahedron``, ``certificate_to_json``,
@@ -27,10 +32,12 @@ which its pass took less time than the first tree's.
 
 A run fails, naming the row, unless ``build``'s level counts and each
 ``n=N`` row's distinct forms match OEIS A007021, each large sphere shares
-its form with its relabeled copy, and every certificate has n - 6 steps,
-round-trips through JSON byte for byte and verifies.  Two trees must
-also give the same forms, the same ``export_json`` of each ``build(N)``
-and byte-identical certificate JSON.  An exception in a tree, from
+its form with its relabeled copy, ``enumerate(10)`` counts OEIS A000109,
+and every certificate has n - 6 steps, round-trips through JSON byte for
+byte and verifies.  Two trees must also give the same forms, the same
+``export_json`` of each ``build(N)``, the same ``from_faces`` faces, the
+same ``(n, faces)`` list from ``enumerate(10)`` and byte-identical
+certificate JSON.  An exception in a tree, from
 loading it to the last row, ends the run with one line naming the stage
 and the tree.
 
@@ -62,6 +69,7 @@ SEED = 1
 LARGE_SIZES = (100, 150, 150, 150, 200)
 CERT_SIZES = (200, 400, 800, 1600)
 A007021 = {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25, 12: 87, 13: 313}
+A000109 = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 LEVELS = (12, 13)
 REPEATS = 4
 
@@ -118,6 +126,12 @@ def paired(count: int, one_pass):
                 best[i][key] = min(t, best[i].get(key, t))
         won += took[-1] < took[0]
     return best, results, won
+
+
+def tri_faces(text: str):
+    """The vertex count and the face triples of a ``.tri`` text, in text order."""
+    (n,), *faces = (tuple(map(int, line.split())) for line in text.splitlines())
+    return n, faces
 
 
 def main() -> int:
@@ -248,6 +262,25 @@ def main() -> int:
     forms = forms_row("large", per_tree("large", lambda i: [trees[i].parse_tri(t) for t in texts]))
     if forms[0::2] != forms[1::2]:
         raise SystemExit("large: a sphere and its relabeled copy have different forms")
+    cert_texts = [pair[0] for pair in flag_sphere_texts(CERT_SIZES, SEED)]
+    lists = [tri_faces(text) for text in texts + cert_texts]
+
+    def faces_pass(i, times):
+        return clock(times, "s", lambda: [trees[i].from_faces(n, faces) for n, faces in lists])
+    row("from_faces", faces_pass, lambda i, spheres: tuple(K.faces for K in spheres),
+        lambda i, least, spheres: {"inputs": "from_faces", "calls": len(spheres),
+                                   "us_per_call": round(least["s"] / len(spheres) * 1e6, 1)})
+
+    def enumerate_pass(i, times):
+        return clock(times, "s", lambda: trees[i].enumerate_all_spheres(10))
+
+    def enumerate_fields(i, least, spheres):
+        counts = {n: sum(K.n == n for K in spheres) for n in A000109}
+        if counts != A000109:
+            raise SystemExit(f"enumerate(10): counts {counts}, A000109 has {A000109}")
+        return {"inputs": "enumerate(10)", "classes": len(spheres), "seconds": round(least["s"], 4)}
+    row("enumerate(10)", enumerate_pass, lambda i, spheres: tuple((K.n, K.faces) for K in spheres),
+        enumerate_fields)
     with tempfile.TemporaryDirectory() as tmp:
         for n in CERT_SIZES:
             cert_row(n, tmp)
