@@ -325,7 +325,7 @@ def certificate_from_json(text: str) -> ContractionCertificate:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _CERT_FORMAT:
         raise FormatError("not a contraction certificate")
-    if obj.get("version") != _CERT_VERSION:
+    if type(obj.get("version")) is not int or obj["version"] != _CERT_VERSION:
         raise FormatError(f"unsupported certificate version {obj.get('version')!r}")
     raw_steps = obj.get("steps")
     if not isinstance(raw_steps, list):

@@ -229,12 +229,12 @@ def import_json(text: str) -> HasseGraph:
         raise FormatError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _GRAPH_FORMAT:
         raise FormatError("not a hasse graph file")
-    if obj.get("version") != _GRAPH_VERSION:
+    if type(obj.get("version")) is not int or obj["version"] != _GRAPH_VERSION:
         raise FormatError(f"unsupported graph version {obj.get('version')!r}")
     if (
         type(obj.get("max_n")) is not int
         or not isinstance(obj.get("nodes"), list)
-        or not isinstance(obj.get("arcs", []), list)
+        or not isinstance(obj.get("arcs"), list)
     ):
         raise FormatError("graph file must carry max_n, a node list and an arc list")
     max_n = obj["max_n"]
@@ -266,7 +266,7 @@ def import_json(text: str) -> HasseGraph:
         nodes[form] = HasseNode(form, sphere.n)
         by_hex[entry["form"]] = form
     arcs = set()
-    for arc in obj.get("arcs", []):
+    for arc in obj["arcs"]:
         if (
             not isinstance(arc, list)
             or len(arc) != 2

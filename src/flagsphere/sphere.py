@@ -178,20 +178,29 @@ _INTERNAL = object()
 def from_faces(n: int, faces) -> SimplicialSphere:
     """Validate ``faces`` over vertices ``0..n-1`` and build the sphere.
 
-    Faces may be given in any order and any within-face order; they are
-    stored as sorted triples in sorted order.  Raises :class:`NotASphere`
-    with the reason code of the first check that fails, in this order:
-    ``bad-index`` (including a vertex count that is not a non-negative
-    ``int``), ``duplicate-face``, ``edge-degree``, ``link-not-cycle`` (the
-    least such vertex), ``euler-fail``, ``disconnected``.  Face 0 is
-    oriented as sorted.  Edges a < b are keyed by the int ``a * n + b``.
+    A face is any iterable of three ``int`` vertices (``bool`` is not an
+    ``int`` here), read once as a tuple; tuples, lists and iterators all
+    take the one accepting test.  Faces may be given in any order and any
+    within-face order; they are stored as sorted triples in sorted order.
+    A face that fails is diagnosed in a fixed order: not iterable, a
+    non-integer vertex, not 3 distinct vertices, out of range.  Raises
+    :class:`NotASphere` with the reason code of the first check that
+    fails, in this order: ``bad-index`` (including a vertex count that is
+    not a non-negative ``int``), ``duplicate-face``, ``edge-degree``,
+    ``link-not-cycle`` (the least such vertex), ``euler-fail``,
+    ``disconnected``.  Face 0 is oriented as sorted.  Edges a < b are
+    keyed by the int ``a * n + b``.
     """
     if type(n) is not int or n < 0:
         raise NotASphere("bad-index", f"vertex count {n!r} is not a non-negative int")
     norm: list[Face] = []
     for f in faces:
-        # fast path: a tuple of distinct in-range ints; the rest is checked below
-        if type(f) is tuple and len(f) == 3:
+        if type(f) is not tuple:
+            try:
+                f = tuple(f)
+            except TypeError:
+                raise NotASphere("bad-index", f"face {f!r} is not a vertex triple") from None
+        if len(f) == 3:
             a, b, c = f
             if type(a) is type(b) is type(c) is int:
                 if a > b:
@@ -203,19 +212,13 @@ def from_faces(n: int, faces) -> SimplicialSphere:
                 if 0 <= a < b < c < n:
                     norm.append((a, b, c))
                     continue
-        try:
-            raw = tuple(f)
-        except TypeError:
-            raise NotASphere("bad-index", f"face {f!r} is not a vertex triple") from None
-        if len(raw) != 3 or not (type(raw[0]) is type(raw[1]) is type(raw[2]) is int):
-            if not all(type(v) is int for v in raw):
-                raise NotASphere("bad-index", f"face {raw!r} has a non-integer vertex")
-        t = tuple(sorted(raw))
+        # the face is bad: name the first check it fails
+        if not all(type(v) is int for v in f):
+            raise NotASphere("bad-index", f"face {f!r} has a non-integer vertex")
+        t = tuple(sorted(f))
         if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
-            raise NotASphere("bad-index", f"face {raw!r} is not 3 distinct vertices")
-        if t[0] < 0 or t[2] >= n:
-            raise NotASphere("bad-index", f"face {t!r} out of range 0..{n - 1}")
-        norm.append(t)
+            raise NotASphere("bad-index", f"face {f!r} is not 3 distinct vertices")
+        raise NotASphere("bad-index", f"face {t!r} out of range 0..{n - 1}")
     norm.sort()
     for prev, cur in zip(norm, norm[1:]):
         if prev == cur:

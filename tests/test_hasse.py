@@ -182,6 +182,35 @@ def test_import_rejects_wrong_types():
         fs.import_json(json.dumps(obj))
 
 
+def test_import_requires_an_arc_list():
+    import json
+
+    obj = json.loads(fs.export_json(fs.build(7)))
+    del obj["arcs"]
+    with pytest.raises(fs.FormatError, match="must carry max_n, a node list and an arc list"):
+        fs.import_json(json.dumps(obj))
+    text = fs.export_json(fs.build(6))
+    assert '"arcs": []' in text
+    assert fs.export_json(fs.import_json(text)) == text
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_json_readers_take_only_the_int_version_1(octa, version):
+    import json
+
+    graph = json.loads(fs.export_json(fs.build(6)))
+    cert = json.loads(fs.certificate_to_json(fs.reduce_to_octahedron(octa)))
+    for obj, read, noun in (
+        (graph, fs.import_json, "graph"),
+        (cert, fs.certificate_from_json, "certificate"),
+    ):
+        read(json.dumps(obj))
+        obj["version"] = version
+        with pytest.raises(fs.FormatError) as exc:
+            read(json.dumps(obj))
+        assert str(exc.value) == f"unsupported {noun} version {version!r}"
+
+
 def test_import_rejects_non_canonical_labeling():
     import itertools
     import json

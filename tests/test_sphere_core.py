@@ -244,6 +244,37 @@ def test_rejection_messages_are_pinned(octa):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("form", [list, iter])
+def test_rejection_messages_hold_for_list_and_iterator_faces(octa, monkeypatch, form):
+    # the pinned cases again, with each tuple face handed over as ``form(face)``
+    from_faces, calls = fs.from_faces, []
+
+    def reformed(n, faces):
+        calls.append(n)
+        return from_faces(n, [form(f) if type(f) is tuple else f for f in faces])
+
+    monkeypatch.setattr(fs, "from_faces", reformed)
+    test_rejection_messages_are_pinned(octa)
+    assert len(calls) == 18
+
+
+def test_every_face_form_takes_one_path(corpus9, graph11, random_flag_sphere):
+    # tuples, lists and one-shot iterators give the same faces and the same
+    # rotation maps, entry order included
+    rng = random.Random(28)
+    spheres = [(K.n, K.faces) for K in corpus9]
+    spheres += [fs.decode_form(form) for form in graph11.nodes]
+    spheres += [(K.n, K.faces) for K in (random_flag_sphere(1, 100), random_flag_sphere(2, 200))]
+    for n, faces in spheres:
+        faces = [rng.sample(f, 3) for f in faces]
+        rng.shuffle(faces)
+        first, *rest = (fs.from_faces(n, [form(f) for f in faces]) for form in (tuple, list, iter))
+        for K in rest:
+            assert K.faces == first.faces
+            for v in range(n):
+                assert list(K.rotation(v).items()) == list(first.rotation(v).items())
+
+
 def test_from_faces_orients_face_0_as_sorted(corpus9, random_sphere):
     grown = [random_sphere(seed, n) for seed, n in ((1, 12), (2, 30), (3, 60))]
     for K in corpus9 + grown:

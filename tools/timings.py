@@ -14,8 +14,10 @@ against a known form that matched (``hits``) or not (``misses``;
 
 ``from_faces`` reads the face lists of the ``large`` texts and of the
 certificate rows' texts (below) and reports the microseconds per
-``from_faces`` call.  ``enumerate(10)`` reports the seconds of
-``enumerate_all_spheres(10)``, the brute-force oracle.
+``from_faces`` call.  ``from_faces (lists)`` reads the same faces with
+each face a list, as ``json.loads`` hands them to the JSON readers.
+``enumerate(10)`` reports the seconds of ``enumerate_all_spheres(10)``,
+the brute-force oracle.
 
 Certificate rows.  The seed-1 sphere at n = 200, 400, 800 and 1600 goes
 through ``reduce_to_octahedron``, ``certificate_to_json``,
@@ -265,11 +267,16 @@ def main() -> int:
     cert_texts = [pair[0] for pair in flag_sphere_texts(CERT_SIZES, SEED)]
     lists = [tri_faces(text) for text in texts + cert_texts]
 
-    def faces_pass(i, times):
-        return clock(times, "s", lambda: [trees[i].from_faces(n, faces) for n, faces in lists])
-    row("from_faces", faces_pass, lambda i, spheres: tuple(K.faces for K in spheres),
-        lambda i, least, spheres: {"inputs": "from_faces", "calls": len(spheres),
-                                   "us_per_call": round(least["s"] / len(spheres) * 1e6, 1)})
+    for name, face_lists in (
+        ("from_faces", lists),
+        ("from_faces (lists)", [(n, [list(f) for f in faces]) for n, faces in lists]),
+    ):
+        def faces_pass(i, times):
+            return clock(times, "s", lambda: [trees[i].from_faces(n, faces) for n, faces in face_lists])
+        row(name, faces_pass, lambda i, spheres: tuple(K.faces for K in spheres),
+            lambda i, least, spheres: {
+                "inputs": name, "calls": len(spheres),
+                "us_per_call": round(least["s"] / len(spheres) * 1e6, 1)})
 
     def enumerate_pass(i, times):
         return clock(times, "s", lambda: trees[i].enumerate_all_spheres(10))
