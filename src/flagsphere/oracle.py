@@ -5,8 +5,8 @@ definition over speed, so the fast paths elsewhere in the package can be
 validated against it.  The only shared machinery is the core sphere type
 with its fully validating constructor, that constructor's link walk
 ``_link_walk``, and the Belt value container.
-Vertex splits are written out here as face lists and every result is
-revalidated from scratch; belt search, flagness, and isomorphism are
+Vertex splits are written out here as face lists and every split made
+is revalidated from scratch; belt search, flagness, and isomorphism are
 reimplemented from their definitions.
 
 ``brute_belts`` and ``brute_is_flag`` scan every vertex 4-set.  The
@@ -298,12 +298,15 @@ def brute_automorphism_count(K: SimplicialSphere) -> int:
 
 
 def _all_splits(K: SimplicialSphere) -> list[SimplicialSphere]:
-    """Every vertex split of K, adjacent link pairs included.
+    """Every vertex split of K, adjacent link pairs included, but the sure repeats.
 
     Splitting ``w`` at link positions i < j keeps the link arc from i to j
     on ``w``, gives the arc from j round to i to the new vertex ``K.n``,
     and adds the two faces of the new edge; the face list is validated
-    from scratch.
+    from scratch.  A split is skipped when an arc names a partner p < w:
+    an arc (x, y) stacks a face, also a split at x or y; an arc (x, y, z)
+    leaves a degree-4 vertex, also a split at y with arc (x, w, z).
+    Partners descend, so each skip has an earlier isomorphic split made.
     """
     out = []
     for w in range(K.n):
@@ -313,6 +316,9 @@ def _all_splits(K: SimplicialSphere) -> list[SimplicialSphere]:
             for j in range(i + 1, len(cyc)):
                 kept = cyc[i : j + 1]
                 moved = cyc[j:] + cyc[: i + 1]
+                if any(p < w for arc in (kept, moved) if len(arc) <= 3
+                       for p in (arc if len(arc) == 2 else arc[1:2])):
+                    continue
                 faces = rest + [(w, cyc[i], K.n), (w, cyc[j], K.n)]
                 faces += [(w, x, y) for x, y in zip(kept, kept[1:])]
                 faces += [(K.n, x, y) for x, y in zip(moved, moved[1:])]
@@ -373,8 +379,11 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
     every class.  Candidates are bucketed by the sorted multiset of their
     vertices' sorted neighbour degrees and compared within a bucket by
     :func:`_rotation_isomorphic`: each representative keeps its forward
-    and reversed rotations, a candidate only its forward ones.  ``jobs`` is
-    accepted for compatibility and has no effect.
+    and reversed rotations, a candidate only its forward ones.  A split
+    that :func:`_all_splits` skips repeats an earlier one of its parent, so
+    the first candidate of each class is made and the representatives are
+    those of all splits.  ``jobs`` is accepted for compatibility and has
+    no effect.
     """
     if type(max_n) is not int or max_n < 4:
         raise BudgetTooSmall(f"need max_n >= 4, got {max_n!r}")

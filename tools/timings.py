@@ -25,12 +25,16 @@ through ``reduce_to_octahedron``, ``certificate_to_json``,
 ``python -m flagsphere verify-cert`` command (start-up included), each
 timed in seconds.
 
-Every time is the least of ``REPEATS`` passes.  ``--src`` names the
-library tree (default: ``src/`` of this checkout).  Given twice, both
-trees are loaded into this process under their own module names and
-each row times them in alternating rounds: first then second, then
-second then first.  The second tree's row adds ``won``, the rounds in
-which its pass took less time than the first tree's.
+Every time is the least of ``--rounds`` passes (default 4).  ``--src``
+names the library tree (default: ``src/`` of this checkout).  Given
+twice, both trees are loaded into this process under their own module
+names and each row times them in alternating rounds: first then second,
+then second then first.  The second tree's row adds ``ratio``, the
+median over rounds of its time divided by the first tree's, ``won=k/R``,
+the k of R rounds in which it took less time, and ``claim``: ``faster``
+only when a one-sided sign test rejects chance at p <= 0.025, which at
+``--rounds 20`` means 15 or more wins (p ~ 0.02); otherwise ``none``, no
+gain claimed.
 
 A run fails, naming the row, unless ``build``'s level counts and each
 ``n=N`` row's distinct forms match OEIS A007021, each large sphere shares
@@ -46,6 +50,7 @@ and the tree.
     python3 tools/timings.py                                # levels 12 and 13
     python3 tools/timings.py --max-n 12
     python3 tools/timings.py --src PARENT/src --src src --out BENCH_canonical.json
+    python3 tools/timings.py --rounds 20 --src PARENT/src --src src    # a claim needs 15 of 20 wins
 
 Each row prints one line of ``key=value`` pairs per tree, led by the
 tree's ``src`` when there are two.  ``--out`` appends one record per
@@ -58,8 +63,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -73,7 +80,7 @@ CERT_SIZES = (200, 400, 800, 1600)
 A007021 = {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25, 12: 87, 13: 313}
 A000109 = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 LEVELS = (12, 13)
-REPEATS = 4
+ROUNDS = 4
 
 
 def machine() -> str:
@@ -107,18 +114,17 @@ def clock(times: dict, key: str, call):
     return out
 
 
-def paired(count: int, one_pass):
-    """``REPEATS`` rounds of ``one_pass(i, times)`` for each tree i, in alternating order.
+def paired(count: int, rounds: int, one_pass):
+    """``rounds`` rounds of ``one_pass(i, times)`` for each tree i, in alternating order.
 
     ``one_pass`` returns a result and clocks its stages into ``times``.
-    Returns each tree's least time per stage and last result, and the
-    rounds in which the last tree's stages took less time in all than the
-    first's.
+    Returns each tree's least time per stage and last result, and per
+    round the last tree's time for all stages divided by the first's.
     """
     best = [{} for _ in range(count)]
     results = [None] * count
-    won = 0
-    for r in range(REPEATS):
+    ratios = []
+    for r in range(rounds):
         took = [0.0] * count
         for i in range(count) if r % 2 == 0 else reversed(range(count)):
             times = {}
@@ -126,8 +132,16 @@ def paired(count: int, one_pass):
             took[i] = sum(times.values())
             for key, t in times.items():
                 best[i][key] = min(t, best[i].get(key, t))
-        won += took[-1] < took[0]
-    return best, results, won
+        ratios.append(took[-1] / took[0])
+    return best, results, ratios
+
+
+def verdict(ratios) -> dict:
+    """The median ratio, the wins and the claim that a one-sided sign test allows."""
+    rounds, won = len(ratios), sum(q < 1 for q in ratios)
+    p = sum(math.comb(rounds, k) for k in range(won, rounds + 1)) / 2 ** rounds
+    return {"ratio": round(statistics.median(ratios), 3), "won": f"{won}/{rounds}",
+            "claim": "faster" if p <= 0.025 else "none"}
 
 
 def tri_faces(text: str):
@@ -141,10 +155,15 @@ def main() -> int:
     ap.add_argument("--src", action="append", help="library tree; give two to pair them")
     ap.add_argument("--max-n", type=int, default=13, choices=LEVELS)
     ap.add_argument("--out", help="JSON file to append this run to")
+    ap.add_argument("--rounds", type=int, default=ROUNDS,
+                    help="alternating rounds per row (default %(default)s); "
+                         "a row is faster only when it wins 15 of 20")
     args = ap.parse_args()
     names = args.src or [os.path.relpath(os.path.join(ROOT, "src"))]
     if len(names) > 2:
         ap.error("--src may be given at most twice")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
 
     def guard(stage, i, call):
         """``call()``; an exception ends the run with one line naming ``stage`` and tree ``i``."""
@@ -168,13 +187,13 @@ def main() -> int:
 
         Returns each tree's result.  Fails unless ``key(i, result)`` agrees across trees.
         """
-        least, results, won = paired(
-            len(trees), lambda i, times: guard(name, i, lambda: one_pass(i, times)))
+        least, results, ratios = paired(
+            len(trees), args.rounds, lambda i, times: guard(name, i, lambda: one_pass(i, times)))
         if len({key(i, result) for i, result in enumerate(results)}) > 1:
             raise SystemExit(f"{name}: {names[0]} and {names[1]} differ")
         for i in range(len(trees)):
             kept = guard(name, i, lambda: fields(i, least[i], results[i]))
-            rows[i].append(kept | ({"won": won} if i else {}))
+            rows[i].append(kept | (verdict(ratios) if i else {}))
             lead = f"src={names[i]} " if len(trees) > 1 else ""
             print(lead + " ".join(f"{k}={v}" for k, v in rows[i][-1].items()), flush=True)
         return results
