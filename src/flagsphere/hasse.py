@@ -49,7 +49,7 @@ from .flags import belt_covered_edges, is_flag
 from .sphere import SimplicialSphere, from_faces, octahedron
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HasseNode:
     form: bytes
     n: int

@@ -8,9 +8,10 @@ and edge and face membership are read off the rotation.  Validation
 accepts exactly the complexes that triangulate S2: every edge in two
 triangles, every vertex link a single cycle, Euler characteristic 2,
 face-connected.  One walk round each vertex both checks its link and
-writes its rotation.  Instances are immutable after construction and
-safe to share between threads; every operation in this package treats
-them as values.
+writes its rotation.  A sphere built from a rotation (a split or a
+contraction) reads its faces off it on first access.  Instances never
+change once built and are safe to share between threads; every
+operation in this package treats them as values.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ class SimplicialSphere:
     input is (given the link condition, for contraction).
 
     An instance stores its faces and one rotation (see :meth:`rotation`),
-    nothing else.  Edges, neighbor sets, link cycles, reversed rotations
-    and edge and face membership are read off the rotation on access.
+    nothing else; those built from a rotation compute their faces once,
+    on first access.  Edges, neighbor sets, link cycles, reversed
+    rotations and edge and face membership are read off the rotation on
+    access.
 
     Equality and hashing compare the exact labeled face set; use
     :func:`flagsphere.canonical.isomorphic` for equality up to relabeling.
@@ -43,11 +46,12 @@ class SimplicialSphere:
 
     __slots__ = ("n", "faces", "_succ")
 
-    def __init__(self, n: int, faces: tuple[Face, ...], succ, _token: object = None):
+    def __init__(self, n: int, faces: tuple[Face, ...] | None, succ, _token: object = None):
         if _token is not _INTERNAL:
             raise TypeError("use from_faces() to construct a SimplicialSphere")
         self.n = n
-        self.faces = faces
+        if faces is not None:  # None: a _RotationSphere reads them off succ
+            self.faces = faces
         self._succ: tuple[dict[int, int], ...] = tuple(succ)
 
     # -- basic accessors ---------------------------------------------------
@@ -65,7 +69,8 @@ class SimplicialSphere:
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        """``2n - 4``, by Euler's formula and 3F = 2E."""
+        return 2 * self.n - 4
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff {u, v} is an edge; False for any int out of range.
@@ -305,21 +310,46 @@ def _link_walk(apex, n: int, v: int, x: int, y: int) -> dict[int, int]:
     return rot
 
 
+class _RotationSphere(SimplicialSphere):
+    """A sphere made by :func:`_from_rotation`: its faces are read off the
+    rotation the first time they are asked for, then kept in the slot.
+    Two threads that both read first store equal tuples."""
+
+    __slots__ = ()
+
+    @property
+    def faces(self) -> tuple[Face, ...]:
+        try:
+            return _FACES_SLOT.__get__(self)
+        except AttributeError:
+            faces = tuple(sorted(
+                (x, y, z) if y < z else (x, z, y)
+                for x, rot in enumerate(self._succ)
+                for y, z in rot.items()
+                if y > x and z > x
+            ))
+            _FACES_SLOT.__set__(self, faces)
+            return faces
+
+    @faces.setter
+    def faces(self, faces: tuple[Face, ...]) -> None:
+        # pickle and copy restore the slot through this
+        _FACES_SLOT.__set__(self, faces)
+
+
+_FACES_SLOT = SimplicialSphere.__dict__["faces"]
+
+
 def _from_rotation(n: int, succ: list[dict[int, int]]) -> SimplicialSphere:
     """Build the sphere whose rotation system is ``succ``, unchecked.
 
     ``succ`` must be the rotation of a triangulated sphere on ``0..n-1``,
     consistently oriented: ``succ[x][y] == z`` implies ``succ[y][z] == x``.
-    Each face is read once, at its smallest vertex.  The maps are stored,
-    not copied, so they may be shared with the sphere they came from.
+    Its faces are sorted only when first read, each at its smallest
+    vertex.  The maps are stored, not copied, so they may be shared with
+    the sphere they came from.
     """
-    faces = sorted(
-        (x, y, z) if y < z else (x, z, y)
-        for x, rot in enumerate(succ)
-        for y, z in rot.items()
-        if y > x and z > x
-    )
-    return SimplicialSphere(n, tuple(faces), succ, _token=_INTERNAL)
+    return _RotationSphere(n, None, succ, _token=_INTERNAL)
 
 
 def _rotations(K: SimplicialSphere) -> tuple[dict[int, int], ...]:
