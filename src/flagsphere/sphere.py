@@ -38,7 +38,7 @@ class SimplicialSphere:
     nothing else; those built from a rotation compute their faces once,
     on first access.  Edges, neighbor sets, link cycles, reversed
     rotations and edge and face membership are read off the rotation on
-    access.
+    access.  Pickle and copy rebuild a sphere from its rotation.
 
     Equality and hashing compare the exact labeled face set; use
     :func:`flagsphere.canonical.isomorphic` for equality up to relabeling.
@@ -175,6 +175,9 @@ class SimplicialSphere:
 
     def __repr__(self) -> str:
         return f"SimplicialSphere(n={self.n}, faces={self.n_faces})"
+
+    def __reduce__(self):
+        return _from_rotation, (self.n, self._succ)
 
 
 _INTERNAL = object()
@@ -330,11 +333,6 @@ class _RotationSphere(SimplicialSphere):
             ))
             _FACES_SLOT.__set__(self, faces)
             return faces
-
-    @faces.setter
-    def faces(self, faces: tuple[Face, ...]) -> None:
-        # pickle and copy restore the slot through this
-        _FACES_SLOT.__set__(self, faces)
 
 
 _FACES_SLOT = SimplicialSphere.__dict__["faces"]
