@@ -13,26 +13,24 @@ Four rules skip work without changing that minimum.  Every code begins
 (0,1,2), (0,1,d) for d = deg u, so only roots u of minimum degree can
 win.  Call an edge clean when its only common neighbours are its two
 apexes, as the link condition asks; on a flag sphere every edge is
-clean.  For a clean uv the first entry that begins with 1 is
-(1,2,d+e-3), e = deg v, so only the starts of least e can win.  Let a
-be labeled 2.  If ua and va are clean too, a's rotation from u runs v,
-the other apex of va (labeled d+e-3), deg a - 4 unlabeled vertices (a
-labeled one would be a third common neighbour of ua or va) and the
-other apex of ua (labeled 3), so the first entry that begins with 2 is
-(2,3,d+e+deg a-7): only the starts of least deg a can win.  A start not
-clean where a rule asks (only on a non-flag sphere) is always tried.
-The ua test decides only at minimum degree 5: if uv and va are clean, a
-third common neighbour z of ua makes uaz a separating triangle with v
-and uv's other apex on one side and a neighbour of u on the other.
-Each rule drops only starts that lose to a kept one, so the code and
-its tying starts, in order, are unchanged.  And once the vertex labeled
-i is dequeued, its faces whose other labels both exceed i are known:
-they are the code entries that begin with i, after all those that begin
-with a smaller label.  So the code is emitted sorted, chunk by chunk,
-and compared with the best so far as it grows: the first larger entry
-drops the start, and after the first smaller one the start runs on as
-the new best.  It stops at its last face, the (2n-4)th: every vertex
-lies on a face, so all are labeled by then.
+clean.  If every root edge uv is clean, the first entry that begins with
+1 is (1,2,d+e-3), e = deg v, so only the starts of least e can win.  Let
+a be labeled 2; ua is a root edge.  If each kept start's va is clean
+too, a's rotation from u runs v, the other apex of va (labeled d+e-3),
+deg a - 4 unlabeled vertices (a labeled one would be a third common
+neighbour of ua or va) and the other apex of ua (labeled 3), so the
+first entry that begins with 2 is (2,3,d+e+deg a-7): only the starts of
+least deg a can win.  Each rule applies to every start it compares or,
+if one of their edges is not clean (only on a non-flag sphere), to none,
+and drops only starts that lose to a kept one, so the code and its tying
+starts, in order, are unchanged.  And once the vertex labeled i is
+dequeued, its faces whose other labels both exceed i are known: they are
+the code entries that begin with i, after all those that begin with a
+smaller label.  So the code is emitted sorted, chunk by chunk, and
+compared with the best so far as it grows: the first larger entry drops
+the start, and after the first smaller one the start runs on as the new
+best.  It stops at its last face, the (2n-4)th: every vertex lies on a
+face, so all are labeled by then.
 
 A start that ties the best code to the end gives, with the winner's
 labeling, one automorphism of the canonical representative.  Every
@@ -110,33 +108,19 @@ def _start_code(n: int, succ, mirror: bool, u: int, v: int, s: int, best):
 def _starts(K: SimplicialSphere) -> list:
     """The starts that can win, in search order, as ``(mirror, u, v)``."""
     succ = _rotations(K)
-    n = len(succ)
     deg = [len(r) for r in succ]
     d = min(deg)
-    clean = {}  # x * n + y: xy is clean
-    edges = []
-    for u in range(n):
-        if deg[u] == d:
-            for v in succ[u]:
-                c = clean[u * n + v] = len(succ[u].keys() & succ[v]) == 2
-                edges.append((u, v, c))
-    e = min((deg[v] for _, v, c in edges if c), default=n)
-    # rank: deg a if uv, ua and va are clean, else 0 (always tried)
-    ranked = []
-    for u, v, c in edges:
-        if c and deg[v] > e:
-            continue
-        for mirror in (False, True):
-            a = succ[v][u] if mirror else succ[u][v]
-            r = 0
-            if c and clean[u * n + a]:
-                k = v * n + a
-                if k not in clean:
-                    clean[k] = clean[a * n + v] = len(succ[v].keys() & succ[a]) == 2
-                r = deg[a] if clean[k] else 0
-            ranked.append((mirror, u, v, r))
-    f = min((r for *_, r in ranked if r), default=0)
-    return [(m, u, v) for m, u, v, r in ranked if r <= f]
+    roots = [(u, v) for u in range(len(succ)) if deg[u] == d for v in succ[u]]
+    if any(len(succ[u].keys() & succ[v]) != 2 for u, v in roots):
+        return [(m, u, v) for u, v in roots for m in (False, True)]
+    e = min([deg[v] for _, v in roots])
+    # (mirror, u, v, a): a is labeled 2
+    starts = [(m, u, v, succ[v][u] if m else succ[u][v])
+              for u, v in roots if deg[v] == e for m in (False, True)]
+    if any(len(succ[v].keys() & succ[a]) != 2 for _, _, v, a in starts):
+        return [s[:3] for s in starts]
+    f = min([deg[s[3]] for s in starts])
+    return [(m, u, v) for m, u, v, a in starts if deg[a] == f]
 
 
 def _min_code(K: SimplicialSphere) -> tuple[list[int], int, list[list[int]]]:

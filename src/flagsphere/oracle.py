@@ -4,7 +4,8 @@ Everything here favors the most literal possible reading of each
 definition over speed, so the fast paths elsewhere in the package can be
 validated against it.  The only shared machinery is the core sphere type
 with its fully validating constructor, that constructor's link walk
-``_link_walk``, and the Belt value container.
+``_link_walk``, its stored successor maps ``_rotations``, and the Belt
+value container.
 Vertex splits are written out here as face lists and every split made
 is revalidated from scratch; belt search, flagness, and isomorphism are
 reimplemented from their definitions.
@@ -29,7 +30,7 @@ from itertools import combinations, permutations
 
 from .errors import BudgetTooLarge, BudgetTooSmall, NotAnEdge, TooLarge
 from .flags import Belt
-from .sphere import Face, SimplicialSphere, _link_walk, from_faces, tetrahedron
+from .sphere import Face, SimplicialSphere, _link_walk, _rotations, from_faces, tetrahedron
 
 _ISO_LIMIT = 9
 _ENUMERATION_LIMIT = 11
@@ -395,7 +396,7 @@ def enumerate_all_spheres(max_n: int, jobs: int = 1) -> list[SimplicialSphere]:
         buckets: dict[tuple, list] = {}
         for K in levels[-1]:
             for cand in _all_splits(K):
-                rot = [cand.rotation(v) for v in range(cand.n)]
+                rot = _rotations(cand)
                 deg = [len(r) for r in rot]
                 key = tuple(sorted(tuple(sorted(deg[w] for w in r)) for r in rot))
                 reps = buckets.setdefault(key, [])
