@@ -153,34 +153,42 @@ class CertificateCheck:
 def reduce_to_octahedron(K: SimplicialSphere) -> ContractionCertificate:
     """Greedily contract the first belt-free edge until 6 vertices remain.
 
-    Edges are tried in lexicographic (min, max) order, each by the local
-    belt-side test, and the first one on no belt is contracted, so the
-    certificate is a pure function of the input labeling.  A flag sphere
-    on more than 6 vertices always has a belt-free edge; running out of
-    them is an internal failure, not a caller error.
+    Edges are tried in lexicographic (min, max) order and the first one on
+    no belt is contracted, so the certificate is a pure function of the
+    input labeling.  A flag sphere on more than 6 vertices always has a
+    belt-free edge; running out of them is an internal failure.
 
-    The reduction contracts in place, in the input's labels: it keeps one
-    list of rotation maps, read directly by the belt tests, and contracts
-    each edge by :func:`_contract_step`, as :func:`contract_mapped` does,
-    which changes only the maps of the edge's ends, its two apexes and v's
-    neighbors.  One sphere is built, at the end, by the same compaction,
-    and it is recognised as the octahedron by its degrees: the only
-    triangulated 2-sphere on 6 vertices with every degree 4.
+    The contractions run in place on one list of rotation maps, in the
+    input's labels (:func:`_contract_step`).  Each belted edge keeps the
+    far pair (p, q) of its last belt: while u-v-q-p is still an induced
+    4-cycle of the current maps the edge is still belted, and otherwise
+    :func:`_belt_side` searches again.  A dead label is in no live map, so
+    a stale pair fails that test.  The 6-vertex end is the octahedron iff
+    every degree is 4.
     """
     _require_flag(K)
     succ = [dict(r) for r in _rotations(K)]
     alive = list(range(K.n))
     steps = []
+    belted = {}
+
+    def first_free():
+        for u in alive:
+            nu = succ[u]
+            for v in sorted(w for w in nu if w > u):
+                far = belted.get((u, v))
+                if far is not None:
+                    p, q = far
+                    nv = succ[v]
+                    if p in nu and q in nv and q in succ[p] and q not in nu and p not in nv:
+                        continue
+                far = belted[u, v] = _belt_side(succ, u, v)
+                if far is None:
+                    return u, v
+        return None
+
     while len(alive) > 6:
-        edge = next(
-            (
-                (u, v)
-                for u in alive
-                for v in sorted(w for w in succ[u] if w > u)
-                if not _belt_side(succ, u, v)
-            ),
-            None,
-        )
+        edge = first_free()
         if edge is None:
             raise InternalMinimalityViolation(
                 f"flag sphere on {len(alive)} vertices has every edge in a belt"

@@ -70,39 +70,31 @@ def _require_flag(K: SimplicialSphere) -> None:
 def belts(K: SimplicialSphere) -> tuple[Belt, ...]:
     """All belts of ``K``, each reported once, sorted by cycle.
 
-    Enumeration is over diagonals.  A diagonal {a,c} is a pair at
-    distance two, so for each a only the neighbors of a's neighbors that
-    exceed a and are not adjacent to it are visited as c; every
-    non-adjacent pair {b,d} of common neighbors of a and c then spans the
-    belt {a,b,c,d}.  Each belt has two diagonals and is reported from the
-    one holding its smallest vertex, so only b, d > a are paired, and
-    a-b-c-d with b < d is already its normalized cycle.
+    Each belt is listed from its least vertex a: its cycle neighbors are
+    non-adjacent neighbors b < d of a, both above a, and its fourth
+    vertex is a common neighbor c of b and d, above a and not adjacent to
+    it.  a-b-c-d is then the normalized cycle.
     """
     adj = K.adjacency
     found = []
     for a in range(K.n):
-        near = adj[a]
-        far = {c for b in near for c in adj[b] if c > a} - near
-        for c in far:
-            common = sorted(x for x in near & adj[c] if x > a)
-            for i, b in enumerate(common):
-                for d in common[i + 1 :]:
-                    if d not in adj[b]:
-                        found.append(Belt((a, b, c, d)))
-    return tuple(sorted(found, key=lambda belt: belt.cycle))
+        na = adj[a]
+        up = sorted(b for b in na if b > a)
+        for i, b in enumerate(up):
+            nb = adj[b]
+            for d in up[i + 1 :]:
+                if d not in nb:
+                    found += [(a, b, c, d) for c in nb & adj[d] if c > a and c not in na]
+    return tuple(map(Belt, sorted(found)))
 
 
-def _belt_side(adj, u: int, v: int) -> bool:
-    """True iff the edge {u,v} is a side of a belt a-b-y-x.
+def _belt_side(adj, u: int, v: int) -> tuple[int, int] | None:
+    """A far pair (p, q) closing a belt u-v-q-p, p adjacent to u, or None.
 
-    With a the end of lower degree and b the other, x is a neighbor of a
-    not adjacent to b (so {b,x} is a diagonal) and y a neighbor of b not
-    adjacent to a (so {a,y} is the other); the belt exists iff some such
-    x and y are adjacent.  The condition is symmetric in u and v.  The
-    cost is one membership test per neighbor y of each such x, so it is
-    bounded by the degrees of a and of a's neighbors; no set is built and
-    b's neighborhood, which the greedy reduction grows into a hub, is
-    only probed.
+    With a the end of lower degree and b the other, a neighbor x of a not
+    adjacent to b and a neighbor y of b not adjacent to a close a belt
+    a-b-y-x iff x and y are adjacent.  Only a's side is listed; b's
+    neighbors, a hub in the greedy reduction, are only probed.
     """
     a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
     na, nb = adj[a], adj[b]
@@ -110,8 +102,8 @@ def _belt_side(adj, u: int, v: int) -> bool:
         if x != b and x not in nb:
             for y in adj[x]:
                 if y in nb and y != a and y not in na:
-                    return True
-    return False
+                    return (x, y) if a == u else (y, x)
+    return None
 
 
 def _norm_edge(K: SimplicialSphere, e) -> tuple[int, int]:
@@ -128,7 +120,7 @@ def _norm_edge(K: SimplicialSphere, e) -> tuple[int, int]:
 def belt_covered_edges(K: SimplicialSphere) -> frozenset[tuple[int, int]]:
     """Edges of ``K`` that are a side of at least one belt."""
     adj = K.adjacency
-    return frozenset(e for e in K.edges if _belt_side(adj, *e))
+    return frozenset(e for e in K.edges if _belt_side(adj, *e) is not None)
 
 
 def edge_in_belt(K: SimplicialSphere, e) -> bool:
@@ -139,4 +131,4 @@ def edge_in_belt(K: SimplicialSphere, e) -> bool:
     tested locally from the two endpoints' neighborhoods without
     enumerating belts.
     """
-    return _belt_side(K.adjacency, *_norm_edge(K, e))
+    return _belt_side(K.adjacency, *_norm_edge(K, e)) is not None

@@ -90,14 +90,16 @@ def edge_belts(K: SimplicialSphere, u: int, v: int) -> set[Belt]:
     {u, v, x, y} with x and y drawn from N(u) | N(v) only.  That is every
     candidate: {u, v} is an edge, so in an induced 4-cycle it is a side,
     and the other two cycle vertices are each adjacent to u or to v.
-    They form the opposite side, so a pair x, y that is not an edge is
-    skipped before the test.
+    They form the opposite side, so each x is paired only with its
+    neighbors y > x in that set.
     """
     if not K.has_edge(u, v):
         raise NotAnEdge(f"{{{u!r}, {v!r}}} is not an edge")
     adj = K.adjacency
-    pairs = combinations(sorted((adj[u] | adj[v]) - {u, v}), 2)
-    found = (_belt_on(adj, sorted((u, v, x, y))) for x, y in pairs if y in adj[x])
+    near = (adj[u] | adj[v]) - {u, v}
+    found = (
+        _belt_on(adj, sorted((u, v, x, y))) for x in near for y in adj[x] & near if y > x
+    )
     return {belt for belt in found if belt is not None}
 
 

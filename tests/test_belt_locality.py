@@ -10,6 +10,8 @@ import random
 import pytest
 
 import flagsphere as fs
+from flagsphere.flags import _belt_side
+from flagsphere.oracle import _belt_on
 
 # (seed, vertex counts at which the growing chain is sampled)
 FLAG_CHAINS = [(1, (20, 25, 30, 35, 40)), (2, (24,))]
@@ -111,3 +113,64 @@ def test_verifier_predicates_match_oracle(flag_spheres, non_flag_spheres):
             want = {b for b in belts if {u, v} <= b.vertices}
             assert fs.edge_belts(K, u, v) == want == fs.edge_belts(K, v, u)
 
+
+
+def reduction_states(K):
+    """``K`` and every sphere its reduction passes through."""
+    states = [K]
+    for step in fs.reduce_to_octahedron(K).steps:
+        states.append(fs.contract(states[-1], step.edge))
+    return states
+
+
+def test_belt_side_witnesses(flag_spheres, non_flag_spheres, hub_states, random_flag_sphere):
+    spheres = flag_spheres + non_flag_spheres + hub_states
+    for K in spheres + reduction_states(random_flag_sphere(5, 60)):
+        sides = brute_sides(K) if K.n <= 40 else fs.belt_covered_edges(K)
+        adj = K.adjacency
+        for u, v in K.edges:
+            assert fs.edge_in_belt(K, (u, v)) is ((u, v) in sides)
+            for a, b in ((u, v), (v, u)):
+                far = _belt_side(adj, a, b)
+                assert (far is not None) == ((u, v) in sides)
+                if far is not None:
+                    p, q = far
+                    assert p in adj[a] and q in adj[b]
+                    belt = _belt_on(adj, sorted((a, b, p, q)))
+                    cycle = ((a, b), (b, q), (q, p), (p, a))
+                    assert belt is not None
+                    assert set(belt.sides) == {(x, y) if x < y else (y, x) for x, y in cycle}
+
+
+def diagonal_belts(K):
+    """The belts as the diagonal enumeration lists them, sorted by cycle."""
+    adj = K.adjacency
+    found = []
+    for a in range(K.n):
+        near = adj[a]
+        far = {c for b in near for c in adj[b] if c > a} - near
+        for c in far:
+            common = sorted(x for x in near & adj[c] if x > a)
+            for i, b in enumerate(common):
+                for d in common[i + 1 :]:
+                    if d not in adj[b]:
+                        found.append(fs.Belt((a, b, c, d)))
+    return tuple(sorted(found, key=lambda belt: belt.cycle))
+
+
+def uncached_reduce(K):
+    """The greedy reduction with no witness cache: every edge tested afresh."""
+    cur, steps = K, []
+    while cur.n > 6:
+        edge = next(e for e in cur.edges if not fs.edge_in_belt(cur, e))
+        cur, relabel = fs.contract_mapped(cur, edge)
+        steps.append(fs.CertStep(edge, relabel))
+    return fs.ContractionCertificate(K, tuple(steps), cur)
+
+
+def test_witness_cache_and_belts_at_scale(hub_states, random_flag_sphere):
+    spheres = [random_flag_sphere(seed, n) for seed, n in ((1, 60), (2, 100), (3, 200))]
+    for K in spheres + hub_states[:1]:
+        got = fs.certificate_to_json(fs.reduce_to_octahedron(K))
+        assert got == fs.certificate_to_json(uncached_reduce(K))
+        assert fs.belts(K) == diagonal_belts(K)

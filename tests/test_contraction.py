@@ -283,3 +283,9 @@ def test_reduce_matches_per_step_reference_at_scale(seed, n):
     cert = fs.reduce_to_octahedron(K)
     assert fs.certificate_to_json(cert) == fs.certificate_to_json(reference_reduce(K))
     assert fs.verify_certificate(cert)
+
+
+def test_reduce_raises_when_no_witness_survives_its_recheck(monkeypatch):
+    monkeypatch.setattr(fs.contraction, "_belt_side", lambda adj, u, v: (-1, -1))
+    with pytest.raises(fs.InternalMinimalityViolation, match="has every edge in a belt"):
+        fs.reduce_to_octahedron(grow_flag_sphere(10, 10))

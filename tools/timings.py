@@ -1,4 +1,4 @@
-"""Time the canonical search, the oracle, from_faces and the certified reduction, one tree or two.
+"""Time the canonical search, belts, the oracle, from_faces and the certified reduction, one tree or two.
 
 Canonical rows.  ``n=N`` takes every flag split (not one per orbit) of
 each class on N - 1 vertices, for N = 12 and 13.  ``large`` takes the
@@ -11,6 +11,9 @@ does: full searches (``canonical._min_code`` calls), tests of a child
 against a known form that matched (``hits``) or not (``misses``;
 ``canonical._same_class`` calls) and starts walked
 (``canonical._start_code`` calls).
+
+``belts`` runs ``belts`` on the ``large`` spheres and reports the belts
+found and the microseconds per call.
 
 ``from_faces`` reads the face lists of the ``large`` texts and of the
 certificate rows' texts (below) and reports the microseconds per
@@ -41,9 +44,9 @@ A run fails, naming the row, unless ``build``'s level counts and each
 its form with its relabeled copy, ``enumerate(10)`` counts OEIS A000109,
 and every certificate has n - 6 steps, round-trips through JSON byte for
 byte and verifies.  Two trees must also give the same forms, the same
-``export_json`` of each ``build(N)``, the same ``from_faces`` faces, the
-same ``(n, faces)`` list from ``enumerate(10)`` and byte-identical
-certificate JSON.  An exception in a tree, from
+belts, the same ``export_json`` of each ``build(N)``, the same
+``from_faces`` faces, the same ``(n, faces)`` list from ``enumerate(10)``
+and byte-identical certificate JSON.  An exception in a tree, from
 loading it to the last row, ends the run with one line naming the stage
 and the tree.
 
@@ -280,9 +283,17 @@ def main() -> int:
         if found != counts:
             raise SystemExit(f"build({level}): levels {found}, A007021 has {counts}")
     texts = [text for pair in flag_sphere_texts(LARGE_SIZES, SEED, relabeled_copy=True) for text in pair]
-    forms = forms_row("large", per_tree("large", lambda i: [trees[i].parse_tri(t) for t in texts]))
+    large = per_tree("large", lambda i: [trees[i].parse_tri(t) for t in texts])
+    forms = forms_row("large", large)
     if forms[0::2] != forms[1::2]:
         raise SystemExit("large: a sphere and its relabeled copy have different forms")
+
+    def belts_pass(i, times):
+        return clock(times, "s", lambda: [trees[i].belts(K) for K in large[i]])
+    row("belts", belts_pass, lambda i, found: tuple(tuple(b.cycle for b in bs) for bs in found),
+        lambda i, least, found: {
+            "inputs": "belts", "calls": len(found), "belts": sum(map(len, found)),
+            "us_per_call": round(least["s"] / len(found) * 1e6, 1)})
     cert_texts = [pair[0] for pair in flag_sphere_texts(CERT_SIZES, SEED)]
     lists = [tri_faces(text) for text in texts + cert_texts]
 
